@@ -39,7 +39,8 @@
 //! assert_eq!(ledger.available(), 10);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cdas_core::types::WorkerId;
@@ -53,27 +54,43 @@ use crate::pool::WorkerPool;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LeaseId(pub u64);
 
-/// The table behind a [`PoolLedger`] handle.
+/// The table behind a [`PoolLedger`] handle, indexed by roster slot: one busy flag per
+/// slot plus a count of busy slots, so a refusal is a counter comparison and a grant
+/// never searches a tree.
 #[derive(Debug, Default)]
 struct LedgerState {
     roster: Vec<WorkerId>,
-    busy: BTreeSet<WorkerId>,
-    leases: BTreeMap<LeaseId, Vec<WorkerId>>,
+    /// `WorkerId → roster slot`, built once by [`PoolLedger::new`].
+    slots: BTreeMap<WorkerId, usize>,
+    /// `busy[s]` is whether `roster[s]` is checked out.
+    busy: Vec<bool>,
+    /// Number of `true` entries in `busy`.
+    busy_count: usize,
+    /// Every outstanding lease's roster slots, in assignment order.
+    leases: BTreeMap<LeaseId, Vec<usize>>,
     next_lease: u64,
 }
 
 impl LedgerState {
     /// Return a lease's workers to the free roster; no-op for unknown/released ids.
     fn release(&mut self, lease: LeaseId) -> usize {
-        match self.leases.remove(&lease) {
-            None => 0,
-            Some(workers) => {
-                for w in &workers {
-                    self.busy.remove(w);
-                }
-                workers.len()
+        let Some(slots) = self.leases.remove(&lease) else {
+            return 0;
+        };
+        for &slot in &slots {
+            if let Some(busy) = self.busy.get_mut(slot) {
+                *busy = false;
             }
         }
+        self.busy_count -= slots.len();
+        slots.len()
+    }
+
+    fn workers(&self, slots: &[usize]) -> Vec<WorkerId> {
+        slots
+            .iter()
+            .filter_map(|&slot| self.roster.get(slot).copied())
+            .collect()
     }
 }
 
@@ -131,8 +148,11 @@ impl Drop for WorkerLease {
 ///
 /// `PoolLedger` is a handle: clones share the same table, so a test (or a supervisor
 /// thread) can keep a clone and watch `available()`/`outstanding_leases()` while a
-/// scheduler leases through its own. All operations are O(roster) or better and
-/// deterministic given the caller's RNG, like everything else in the simulation.
+/// scheduler leases through its own. Costs, for a roster of `r` workers: a refused
+/// [`try_lease`](Self::try_lease) is O(1) and draws nothing from the RNG; a grant is
+/// O(r) — one pass over the busy flags and one shuffle of the free slots, no tree
+/// lookups; a release is O(lease). Everything is deterministic given the caller's RNG,
+/// like the rest of the simulation.
 #[derive(Debug, Clone, Default)]
 pub struct PoolLedger {
     table: Arc<Mutex<LedgerState>>,
@@ -141,15 +161,20 @@ pub struct PoolLedger {
 impl PoolLedger {
     /// A ledger over an explicit roster (duplicates are collapsed, order preserved).
     pub fn new(roster: impl IntoIterator<Item = WorkerId>) -> Self {
-        let mut seen = BTreeSet::new();
-        let roster = roster
-            .into_iter()
-            .filter(|w| seen.insert(*w))
-            .collect::<Vec<_>>();
+        let mut slots = BTreeMap::new();
+        let mut unique = Vec::new();
+        for worker in roster {
+            if let Entry::Vacant(entry) = slots.entry(worker) {
+                entry.insert(unique.len());
+                unique.push(worker);
+            }
+        }
         PoolLedger {
             table: Arc::new(Mutex::new(LedgerState {
-                roster,
-                busy: BTreeSet::new(),
+                busy: vec![false; unique.len()],
+                roster: unique,
+                slots,
+                busy_count: 0,
                 leases: BTreeMap::new(),
                 next_lease: 0,
             })),
@@ -184,12 +209,12 @@ impl PoolLedger {
     /// Number of workers currently free.
     pub fn available(&self) -> usize {
         let state = self.state();
-        state.roster.len() - state.busy.len()
+        state.roster.len() - state.busy_count
     }
 
     /// Number of workers currently checked out.
     pub fn leased(&self) -> usize {
-        self.state().busy.len()
+        self.state().busy_count
     }
 
     /// Number of outstanding leases.
@@ -199,17 +224,24 @@ impl PoolLedger {
 
     /// Whether a specific worker is currently checked out.
     pub fn is_leased(&self, worker: WorkerId) -> bool {
-        self.state().busy.contains(&worker)
+        let state = self.state();
+        state
+            .slots
+            .get(&worker)
+            .and_then(|&slot| state.busy.get(slot).copied())
+            .unwrap_or(false)
     }
 
     /// The workers behind an outstanding lease.
     pub fn workers_of(&self, lease: LeaseId) -> Option<Vec<WorkerId>> {
-        self.state().leases.get(&lease).cloned()
+        let state = self.state();
+        state.leases.get(&lease).map(|slots| state.workers(slots))
     }
 
     /// Try to check out `n` distinct free workers, chosen uniformly at random among the
-    /// free part of the roster. Returns `None` — leaving the ledger untouched — when fewer
-    /// than `n` workers are free (the caller waits and retries) or when `n` is zero.
+    /// free part of the roster. Returns `None` — leaving the ledger and the RNG untouched
+    /// — when fewer than `n` workers are free (the caller waits and retries) or when `n`
+    /// is zero.
     ///
     /// The returned [`WorkerLease`] releases on drop.
     #[must_use = "an unbound lease releases its workers immediately, making the checkout a no-op"]
@@ -217,27 +249,35 @@ impl PoolLedger {
         if n == 0 {
             return None;
         }
-        let mut state = self.state();
-        let mut free: Vec<WorkerId> = state
-            .roster
-            .iter()
-            .copied()
-            .filter(|w| !state.busy.contains(w))
-            .collect();
-        if free.len() < n {
+        let mut guard = self.state();
+        let state = &mut *guard;
+        if state.roster.len() - state.busy_count < n {
             return None;
         }
+        // The free slots in roster order: the shuffled list has the free workers' length
+        // and order, so a seed draws the same workers as a list of the workers would.
+        let mut free: Vec<usize> = state
+            .busy
+            .iter()
+            .enumerate()
+            .filter(|(_, busy)| !**busy)
+            .map(|(slot, _)| slot)
+            .collect();
         free.shuffle(rng);
         free.truncate(n);
-        for w in &free {
-            state.busy.insert(*w);
+        for &slot in &free {
+            if let Some(busy) = state.busy.get_mut(slot) {
+                *busy = true;
+            }
         }
+        state.busy_count += n;
+        let workers = state.workers(&free);
         let id = LeaseId(state.next_lease);
         state.next_lease += 1;
-        state.leases.insert(id, free.clone());
+        state.leases.insert(id, free);
         Some(WorkerLease {
             id,
-            workers: free,
+            workers,
             table: Arc::clone(&self.table),
         })
     }
@@ -261,6 +301,156 @@ mod tests {
 
     fn ledger(n: u64) -> PoolLedger {
         PoolLedger::new((0..n).map(WorkerId))
+    }
+
+    /// The tree-based lease table the roster-indexed one replaced, kept as the
+    /// differential oracle: it rebuilds the free list with one set lookup per roster
+    /// worker on every attempt, refusals included.
+    struct TreeLedger {
+        roster: Vec<WorkerId>,
+        busy: std::collections::BTreeSet<WorkerId>,
+        leases: BTreeMap<LeaseId, Vec<WorkerId>>,
+        next_lease: u64,
+    }
+
+    impl TreeLedger {
+        fn new(roster: &[WorkerId]) -> Self {
+            let mut seen = std::collections::BTreeSet::new();
+            TreeLedger {
+                roster: roster.iter().copied().filter(|w| seen.insert(*w)).collect(),
+                busy: std::collections::BTreeSet::new(),
+                leases: BTreeMap::new(),
+                next_lease: 0,
+            }
+        }
+
+        fn try_lease(&mut self, n: usize, rng: &mut StdRng) -> Option<(LeaseId, Vec<WorkerId>)> {
+            if n == 0 {
+                return None;
+            }
+            let mut free: Vec<WorkerId> = self
+                .roster
+                .iter()
+                .copied()
+                .filter(|w| !self.busy.contains(w))
+                .collect();
+            if free.len() < n {
+                return None;
+            }
+            free.shuffle(rng);
+            free.truncate(n);
+            self.busy.extend(free.iter().copied());
+            let id = LeaseId(self.next_lease);
+            self.next_lease += 1;
+            self.leases.insert(id, free.clone());
+            Some((id, free))
+        }
+
+        fn release(&mut self, lease: LeaseId) -> usize {
+            let workers = self.leases.remove(&lease).unwrap_or_default();
+            for w in &workers {
+                self.busy.remove(w);
+            }
+            workers.len()
+        }
+    }
+
+    #[test]
+    fn roster_indexed_ledger_matches_the_tree_ledger_on_random_sequences() {
+        for seed in 0..60u64 {
+            let mut script = StdRng::seed_from_u64(seed);
+            // Rosters of 1–40 entries over 30 ids, so most contain duplicates.
+            let roster: Vec<WorkerId> = (0..script.random_range(1..41usize))
+                .map(|_| WorkerId(script.random_range(0..30u64)))
+                .collect();
+            let fast = PoolLedger::new(roster.iter().copied());
+            let mut tree = TreeLedger::new(&roster);
+            assert_eq!(fast.roster(), tree.roster, "seed {seed}: deduped roster");
+            let mut fast_rng = StdRng::seed_from_u64(seed ^ 0xabcd);
+            let mut tree_rng = StdRng::seed_from_u64(seed ^ 0xabcd);
+            let mut guards: Vec<WorkerLease> = Vec::new();
+            let mut issued: Vec<LeaseId> = Vec::new();
+            for step in 0..200 {
+                match script.random_range(0..10usize) {
+                    // Lease attempts dominate, sized to be refused as often as granted.
+                    0..=4 => {
+                        let n = script.random_range(0..tree.roster.len() / 2 + 3);
+                        let got = fast.try_lease(n, &mut fast_rng);
+                        let want = tree.try_lease(n, &mut tree_rng);
+                        assert_eq!(
+                            got.as_ref().map(|l| (l.id, l.workers().to_vec())),
+                            want,
+                            "seed {seed} step {step}: try_lease({n})"
+                        );
+                        if let Some(lease) = got {
+                            issued.push(lease.id);
+                            guards.push(lease);
+                        }
+                    }
+                    // A guard drops.
+                    5..=7 if !guards.is_empty() => {
+                        let lease = guards.swap_remove(script.random_range(0..guards.len()));
+                        let id = lease.id;
+                        drop(lease);
+                        tree.release(id);
+                    }
+                    // A release by id: live, already released, or never issued.
+                    _ => {
+                        let id = if issued.is_empty() || script.random_range(0..4usize) == 0 {
+                            LeaseId(10_000 + step)
+                        } else {
+                            issued[script.random_range(0..issued.len())]
+                        };
+                        assert_eq!(
+                            fast.release(id),
+                            tree.release(id),
+                            "seed {seed} step {step}: release({id:?})"
+                        );
+                    }
+                }
+                assert_eq!(fast.available(), tree.roster.len() - tree.busy.len());
+                assert_eq!(fast.leased(), tree.busy.len());
+                assert_eq!(fast.outstanding_leases(), tree.leases.len());
+                for id in 0..32 {
+                    let w = WorkerId(id);
+                    assert_eq!(
+                        fast.is_leased(w),
+                        tree.busy.contains(&w),
+                        "seed {seed}: {w:?}"
+                    );
+                }
+                for &id in issued.iter().chain([LeaseId(u64::MAX)].iter()) {
+                    assert_eq!(fast.workers_of(id), tree.leases.get(&id).cloned());
+                }
+            }
+            drop(guards);
+            assert_eq!(
+                fast.available(),
+                fast.roster_len(),
+                "seed {seed}: guards freed all"
+            );
+        }
+    }
+
+    #[test]
+    fn a_refused_lease_does_not_advance_the_rng() {
+        let l = ledger(10);
+        let mut other = StdRng::seed_from_u64(99);
+        let mut rng = StdRng::seed_from_u64(21);
+        let held = l.try_lease(6, &mut other).unwrap();
+        assert!(
+            l.try_lease(5, &mut rng).is_none(),
+            "only 4 workers are free"
+        );
+        assert!(l.try_lease(11, &mut rng).is_none(), "more than the roster");
+        drop(held);
+        let granted = l.try_lease(5, &mut rng).unwrap().workers().to_vec();
+        let fresh = ledger(10)
+            .try_lease(5, &mut StdRng::seed_from_u64(21))
+            .unwrap()
+            .workers()
+            .to_vec();
+        assert_eq!(granted, fresh, "the refusals drew nothing from the RNG");
     }
 
     #[test]

@@ -366,6 +366,9 @@ struct JobState {
     runs: Vec<(std::ops::Range<usize>, HitOutcome)>,
     ticks_waited: usize,
     workers_seen: BTreeSet<WorkerId>,
+    /// Whether the job has a batch in flight in the current clocked run: set at
+    /// dispatch, cleared when the batch commits.
+    in_flight: bool,
     // Clocked-run rollups; stay at their defaults in unclocked runs.
     completed_at: f64,
     first_verdict_at: Option<f64>,
@@ -460,6 +463,7 @@ impl JobScheduler {
             runs: Vec::new(),
             ticks_waited: 0,
             workers_seen: BTreeSet::new(),
+            in_flight: false,
             completed_at: 0.0,
             first_verdict_at: None,
             reclaimed_minutes: 0.0,
@@ -495,19 +499,27 @@ impl JobScheduler {
             .unwrap_or_default()
     }
 
-    /// Dispatch order for one tick: round-robin rotation, optionally stable-sorted by
-    /// descending priority so rotation still breaks ties fairly.
-    fn dispatch_order(&self, tick: usize) -> Vec<usize> {
+    /// Dispatch order for tick `tick` (1-based): the job indices rotated left by
+    /// `tick - 1`, stable-sorted by descending priority under [`DispatchPolicy::Priority`]
+    /// so rotation still breaks ties fairly. Round-robin positions are index arithmetic;
+    /// only the priority policy materializes the order, into `sorted` — a buffer the
+    /// caller reuses across ticks, left empty under round-robin. The iterator borrows
+    /// `sorted`, not the scheduler, so the caller can dispatch while walking it.
+    fn dispatch_order<'a>(
+        &self,
+        tick: usize,
+        sorted: &'a mut Vec<usize>,
+    ) -> impl Iterator<Item = usize> + 'a {
         let n = self.jobs.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        if n > 1 {
-            order.rotate_left((tick - 1) % n);
-        }
+        let rotated = move |k: usize| (tick - 1 + k) % n;
+        sorted.clear();
         if self.config.policy == DispatchPolicy::Priority {
+            sorted.extend((0..n).map(rotated));
             let priority = |i: usize| self.jobs.get(i).map(|j| j.spec.priority).unwrap_or(0);
-            order.sort_by_key(|&i| std::cmp::Reverse(priority(i)));
+            sorted.sort_by_key(|&i| std::cmp::Reverse(priority(i)));
         }
-        order
+        let sorted = &*sorted;
+        (0..n).map(move |k| sorted.get(k).copied().unwrap_or_else(|| rotated(k)))
     }
 
     /// Run every submitted job to completion, interleaving phase-1 publishes and phase-2
@@ -545,6 +557,7 @@ impl JobScheduler {
         let started = Instant::now();
         self.check_feasibility(self.ledger.roster_len())?;
         let mut dispatches: Vec<DispatchRecord> = Vec::new();
+        let mut order = Vec::new();
         let mut ticks = 0usize;
         while self.jobs.iter().any(|j| !j.finished()) {
             ticks += 1;
@@ -555,7 +568,7 @@ impl JobScheduler {
             // as the ledger can satisfy the lease. The lease guards of this tick's batches
             // are all held simultaneously, which is what keeps concurrent HITs disjoint.
             let mut inflight: Vec<Inflight> = Vec::new();
-            for idx in self.dispatch_order(ticks) {
+            for idx in self.dispatch_order(ticks, &mut order) {
                 if self.jobs.get(idx).map_or(true, |j| j.finished()) {
                     continue;
                 }
@@ -1035,8 +1048,18 @@ impl JobScheduler {
         // The event heap (Heap mode only): one scheduled arrival per in-flight HIT.
         let mut arrivals = ArrivalQueue::new();
 
+        // Dispatch bookkeeping that lives across ticks, so phase 1 costs O(jobs) plus
+        // its grants: the count of jobs with questions left to dispatch, each job's
+        // in-flight flag (cleared here in case an earlier run was torn down
+        // mid-flight), and the priority order's buffer.
+        let mut unfinished = self.jobs.iter().filter(|j| !j.finished()).count();
+        for state in &mut self.jobs {
+            state.in_flight = false;
+        }
+        let mut order = Vec::new();
+
         let mut ticks = 0usize;
-        while self.jobs.iter().any(|j| !j.finished()) || !inflight.is_empty() {
+        while unfinished > 0 || !inflight.is_empty() {
             ticks += 1;
             if ticks > max_ticks {
                 return Err(CdasError::SchedulerStalled { ticks });
@@ -1048,9 +1071,12 @@ impl JobScheduler {
             // flight; everyone else competes for the workers that are free *now* — which
             // includes workers a mid-flight cancellation released earlier this run.
             platform.advance_time(clock.now());
-            let busy: BTreeSet<usize> = inflight.iter().map(|b| b.job).collect();
-            for idx in self.dispatch_order(ticks) {
-                if self.jobs.get(idx).map_or(true, |j| j.finished()) || busy.contains(&idx) {
+            for idx in self.dispatch_order(ticks, &mut order) {
+                if self
+                    .jobs
+                    .get(idx)
+                    .map_or(true, |j| j.finished() || j.in_flight)
+                {
                     continue;
                 }
                 if let Some((range, ticket, lease)) =
@@ -1061,6 +1087,10 @@ impl JobScheduler {
                     let Some(state) = self.jobs.get_mut(idx) else {
                         continue;
                     };
+                    state.in_flight = true;
+                    if state.finished() {
+                        unfinished -= 1;
+                    }
                     let collector = state.engine.begin_clocked(ticket, clock.now());
                     let hit = collector.hit();
                     inflight.push(ClockedInflight {
@@ -1196,6 +1226,7 @@ impl JobScheduler {
                 let Some(state) = self.jobs.get_mut(batch.job) else {
                     continue;
                 };
+                state.in_flight = false;
                 state.completed_at = state.completed_at.max(clocked.completed_at);
                 state.first_verdict_at = match (state.first_verdict_at, clocked.first_verdict_at) {
                     (Some(a), Some(b)) => Some(a.min(b)),

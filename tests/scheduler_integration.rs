@@ -272,3 +272,105 @@ fn priority_policy_orders_mixed_kinds() {
     // The background job still completed — priority is not starvation.
     assert!(report.jobs[background.0].report.questions > 0);
 }
+
+/// FNV-1a over a run's dispatch decisions: the `DispatchRecord` timeline (tick, job, HIT,
+/// leased workers in assignment order) followed by every job's `ticks_waited`.
+fn dispatch_digest(report: &FleetReport) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |value: u64| {
+        for byte in value.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for d in &report.dispatches {
+        mix(d.tick as u64);
+        mix(d.job.0 as u64);
+        mix(d.hit.0);
+        mix(d.workers.len() as u64);
+        for w in &d.workers {
+            mix(w.0);
+        }
+    }
+    for job in &report.jobs {
+        mix(job.ticks_waited as u64);
+    }
+    hash
+}
+
+/// A contended fleet: 12 mixed jobs needing 3, 5 or 7 workers over a 20-worker pool with
+/// exponential latencies, so most jobs wait for leases most ticks, big leases are refused
+/// while small ones are granted, and ExpMax frees workers mid-flight.
+fn contended_fleet(policy: DispatchPolicy, clocked: bool) -> FleetReport {
+    let pool = WorkerPool::generate(&PoolConfig {
+        latency: LatencyModel::Exponential { mean: 5.0 },
+        ..PoolConfig::clean(20, 0.8, 31)
+    });
+    let ledger = PoolLedger::from_pool(&pool);
+    let mut platform = SimulatedPlatform::new(pool, CostModel::default(), 31);
+    let mut scheduler = JobScheduler::new(
+        SchedulerConfig {
+            policy,
+            seed: 5,
+            ..SchedulerConfig::default()
+        },
+        ledger,
+    );
+    for j in 0..12u64 {
+        let workers = [3, 5, 7][(j % 3) as usize];
+        let (kind, questions, domain) = if j % 2 == 0 {
+            (
+                JobKind::SentimentAnalytics,
+                tsa_questions(100 + j, 16),
+                Some(3),
+            )
+        } else {
+            (JobKind::ImageTagging, it_questions(100 + j, 16), None)
+        };
+        scheduler.submit(
+            ScheduledJob::named(kind, format!("job-{j}"), questions)
+                .with_engine(EngineConfig {
+                    termination: Some(TerminationStrategy::ExpMax),
+                    ..fixed_engine(workers, domain)
+                })
+                .with_batch_size(4)
+                .with_priority((j % 4) as u8),
+        );
+    }
+    if clocked {
+        scheduler.run_clocked(&mut platform).unwrap()
+    } else {
+        scheduler.run(&mut platform).unwrap()
+    }
+}
+
+#[test]
+fn contended_dispatch_timeline_is_pinned_across_ledger_implementations() {
+    // Digests recorded with the tree-based lease ledger that the roster-indexed table
+    // replaced: the table must make exactly the same grants, in the same order, and
+    // refuse exactly the same attempts.
+    let pinned = [
+        (
+            DispatchPolicy::RoundRobin,
+            true,
+            15_768_416_056_519_699_923u64,
+        ),
+        (DispatchPolicy::Priority, true, 2_475_084_079_887_376_850),
+        (
+            DispatchPolicy::RoundRobin,
+            false,
+            10_364_239_235_209_052_430,
+        ),
+    ];
+    for (policy, clocked, expected) in pinned {
+        let report = contended_fleet(policy, clocked);
+        assert!(
+            report.jobs.iter().any(|j| j.ticks_waited > 0),
+            "{policy:?} clocked={clocked}: the fleet must contend for leases"
+        );
+        assert_eq!(
+            dispatch_digest(&report),
+            expected,
+            "{policy:?} clocked={clocked}: dispatch timeline drifted"
+        );
+    }
+}
