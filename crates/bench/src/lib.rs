@@ -13,7 +13,6 @@
 #![deny(unsafe_code)]
 
 pub mod experiments;
-pub mod snapshot;
 
 use cdas_core::types::{Label, Observation, Vote};
 use cdas_crowd::pool::{PoolConfig, WorkerPool};

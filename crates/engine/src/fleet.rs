@@ -412,8 +412,8 @@ impl<Crowd> FleetBuilder<Crowd> {
 
     /// Set how the clocked loops discover the next arrival event (default
     /// [`ArrivalDiscovery::Heap`]). [`ArrivalDiscovery::Scan`] is the pre-heap
-    /// per-tick scan, retained as the differential-testing oracle and the benchmark
-    /// baseline; both produce bit-identical reports.
+    /// per-tick scan, retained as the differential-test oracle the heap is checked
+    /// against; both produce bit-identical reports.
     pub fn arrival_discovery(mut self, discovery: ArrivalDiscovery) -> Self {
         self.scheduler.discovery = discovery;
         self

@@ -223,8 +223,8 @@ impl FleetReport {
     /// the work was partitioned (`1.0` for one shard, approaching the shard count under
     /// perfect balance), **not** the achieved end-to-end ratio: each shard times only its
     /// own loop, so an oversubscribed or single-core host that serializes the threads
-    /// still reports the partition-balance number. For measured wall-clock against
-    /// `run_clocked`, see `benches/parallel.rs`, which times whole runs.
+    /// still reports the partition-balance number. The benchmark (`perfbench/`) reports
+    /// it as `fleet.parallel_speedup` next to measured end-to-end wall clock.
     pub fn parallel_speedup(&self) -> f64 {
         let total: f64 = self.shards.iter().map(|s| s.wall_seconds).sum();
         let slowest = self

@@ -101,10 +101,10 @@ pub enum DispatchPolicy {
 
 /// How the clocked loop discovers the next arrival event across the in-flight HITs.
 ///
-/// Both modes produce **bit-identical** reports (pinned by the differential suite in
-/// `tests/event_heap_equivalence.rs`); they differ only in how much work each tick
-/// costs. `Scan` is kept as the differential-testing oracle and the benchmark baseline
-/// that `cdas-bench`'s `perf_snapshot` binary records `Heap` against.
+/// Both modes produce **bit-identical** reports; they differ only in how much work each
+/// tick costs. `Heap` is the production path. `Scan` is the differential-test oracle:
+/// `tests/event_heap_equivalence.rs` runs every mode under both and requires identical
+/// reports and event streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ArrivalDiscovery {
     /// A global arrival priority queue ([`cdas_crowd::ArrivalQueue`]): a binary
@@ -128,7 +128,8 @@ pub struct SchedulerConfig {
     pub seed: u64,
     /// Safety valve: abort with [`CdasError::SchedulerStalled`] after this many ticks.
     pub max_ticks: usize,
-    /// How the clocked loop finds the next arrival event (heap vs. the scan oracle).
+    /// How the clocked loop finds the next arrival event: the production heap, or the
+    /// scan that differential tests compare it against.
     pub discovery: ArrivalDiscovery,
 }
 

@@ -91,8 +91,8 @@ impl AdmissionModel {
         }
     }
 
-    /// The calibrated round time: observed minutes-per-dispatch once epochs have
-    /// completed, the latency prior before then.
+    /// The calibrated round time: observed minutes per dispatch round once epochs
+    /// have completed, the latency prior before then.
     pub fn round_minutes(&self) -> f64 {
         if self.observed_rounds > 0.0 && self.observed_makespan > 0.0 {
             self.observed_makespan / self.observed_rounds
@@ -102,11 +102,13 @@ impl AdmissionModel {
     }
 
     /// Fold a completed epoch's report into the calibration: its makespan over its
-    /// dispatch count refines the minutes-per-round estimate every later forecast
-    /// uses. Deterministic — recovery replays epochs in order and lands on the same
-    /// calibration.
+    /// dispatch rounds refines the minutes-per-round estimate every later forecast
+    /// uses. The clocked loop keeps one batch per job in flight, so an epoch runs as
+    /// many rounds as its busiest job has batches. Deterministic — recovery replays
+    /// epochs in order and lands on the same calibration.
     pub fn observe_epoch(&mut self, report: &FleetReport) {
-        self.observe(report.makespan, report.dispatches.len());
+        let rounds = report.jobs.iter().map(|j| j.hits).max().unwrap_or(0);
+        self.observe(report.makespan, rounds);
     }
 
     /// The raw calibration update behind [`observe_epoch`](Self::observe_epoch).
@@ -202,8 +204,12 @@ pub fn decide(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HitOutcome;
     use crate::fixtures::demo_questions;
     use crate::job_manager::JobKind;
+    use crate::metrics::{score_hits, JobReport};
+    use crate::scheduler::JobId;
+    use cdas_crowd::question::CrowdQuestion;
 
     fn model() -> AdmissionModel {
         AdmissionModel::new(
@@ -251,6 +257,45 @@ mod tests {
         assert!((m.round_minutes() - 3.0).abs() < 1e-12);
         m.observe(0.0, 0); // an empty epoch must not poison the calibration
         assert!((m.round_minutes() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_epoch_calibrates_per_round_not_per_hit() {
+        // 4 jobs × 3 batches in 30 minutes: the jobs ran side by side, so the epoch
+        // took 3 rounds of 10 minutes, not 12 rounds of 2.5.
+        let fleet = score_hits(Vec::<(&[CrowdQuestion], &HitOutcome)>::new());
+        let jobs = (0..4)
+            .map(|i| JobReport {
+                job: JobId(i),
+                name: format!("j{i}"),
+                kind: JobKind::SentimentAnalytics,
+                priority: 0,
+                report: fleet,
+                hits: 3,
+                ticks_waited: 0,
+                distinct_workers: 0,
+                time_to_first_verdict: None,
+                completed_at: 30.0,
+                reclaimed_minutes: 0.0,
+                answers_cancelled: 0,
+            })
+            .collect();
+        let epoch = FleetReport {
+            jobs,
+            fleet,
+            shards: Vec::new(),
+            ticks: 0,
+            makespan: 30.0,
+            reclaimed_minutes: 0.0,
+            answers_cancelled: 0,
+            dispatches: Vec::new(),
+            registry_size: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+        };
+        let mut m = model();
+        m.observe_epoch(&epoch);
+        assert!((m.round_minutes() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -285,5 +285,10 @@ proptest! {
         prop_assert_eq!(report.rejected, 0);
         let served: usize = report.epochs.iter().map(|e| e.jobs.len()).sum();
         prop_assert_eq!(served, jobs, "each submission runs in exactly one epoch");
+        // Served means finished: every real question of every job gets a verdict, and
+        // every epoch that ran work took simulated time.
+        let resolved: usize = report.epochs.iter().map(|e| e.fleet.questions).sum();
+        prop_assert_eq!(resolved, jobs * 6, "the service left questions unresolved");
+        prop_assert!(report.epochs.iter().all(|e| e.makespan > 0.0));
     }
 }
