@@ -767,6 +767,34 @@ mod tests {
     }
 
     #[test]
+    fn clocked_cached_collection_honours_a_configured_registry_source() {
+        use cdas_core::sharing::SharedAccuracyRegistry;
+
+        let pool = WorkerPool::generate(&PoolConfig::clean(30, 0.8, 51));
+        let oracle = pool.oracle_registry(&question(0, false));
+        let e = CrowdsourcingEngine::new(EngineConfig {
+            workers: WorkerCountPolicy::Fixed(5),
+            accuracy_source: AccuracySource::Registry(oracle),
+            ..EngineConfig::default()
+        });
+        let mut p = SimulatedPlatform::new(pool, CostModel::default(), 51);
+        let cache = AccuracyCache::new(SharedAccuracyRegistry::new());
+        let mut clock = SimClock::new();
+        // A gold-free batch: without the configured registry there would be nothing to
+        // weight votes with beyond the default.
+        let ticket = e.publish_batch(&mut p, batch(6, 0)).unwrap();
+        let out = e
+            .collect_batch_clocked_cached(&mut p, ticket, &mut clock, &cache)
+            .unwrap();
+        assert_eq!(
+            cache.shared().len(),
+            30,
+            "the oracle registry seeded the fleet registry"
+        );
+        assert_eq!(out.outcome.registry.len(), 30);
+    }
+
+    #[test]
     fn group_by_worker_preserves_order_and_merges_runs() {
         let mk = |w: u64, q: u64| WorkerAnswer {
             hit: HitId(0),

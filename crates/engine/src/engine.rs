@@ -17,10 +17,11 @@
 //! is still running.
 //!
 //! The two phases are **re-entrant per batch**: [`CrowdsourcingEngine::publish_batch`]
-//! returns a [`BatchTicket`] and [`CrowdsourcingEngine::collect_batch`] redeems it, so a
-//! scheduler can keep many batches — from many jobs — in flight at once and interleave
-//! publishes with ingestion ([`crate::scheduler`]). [`CrowdsourcingEngine::run_hit`] is the
-//! single-batch composition of the two.
+//! returns a [`BatchTicket`] and [`CrowdsourcingEngine::collect_batch`] (or a clocked
+//! collector from [`CrowdsourcingEngine::begin_clocked`]) redeems it, so a scheduler can
+//! keep many batches — from many jobs — in flight at once and interleave publishes with
+//! ingestion ([`crate::scheduler`]). [`CrowdsourcingEngine::run_hit`] is the single-batch
+//! composition of the two.
 
 use std::collections::BTreeMap;
 
@@ -29,7 +30,6 @@ use cdas_core::economics::CostModel;
 use cdas_core::online::{OnlineProcessor, TerminationStrategy};
 use cdas_core::prediction::PredictionModel;
 use cdas_core::sampling::SamplingEstimator;
-use cdas_core::sharing::AccuracyCache;
 use cdas_core::types::{HitId, Label, Observation, QuestionId, Vote, WorkerId};
 use cdas_core::verification::probabilistic::ProbabilisticVerifier;
 use cdas_core::verification::voting::{HalfVoting, MajorityVoting};
@@ -330,62 +330,18 @@ impl CrowdsourcingEngine {
         platform: &mut P,
         ticket: BatchTicket,
     ) -> Result<HitOutcome> {
-        self.finish_batch(platform, ticket, None)
-    }
-
-    /// Phase 2 with cross-job accuracy sharing: like [`collect_batch`](Self::collect_batch),
-    /// but gold estimates from this batch are absorbed into the shared registry behind
-    /// `cache`, and verification weights votes with the *fleet-wide* estimates — so a
-    /// worker's accuracy learned in job A immediately reweights their votes in job B.
-    ///
-    /// An [`AccuracySource::Registry`] in the config is honoured by seeding the shared
-    /// registry with its entries as injected estimates (gold-sampled estimates, from any
-    /// job, always outrank them).
-    pub fn collect_batch_cached<P: CrowdPlatform>(
-        &self,
-        platform: &mut P,
-        ticket: BatchTicket,
-        cache: &AccuracyCache,
-    ) -> Result<HitOutcome> {
-        self.finish_batch(platform, ticket, Some(cache))
-    }
-
-    /// Shared phase-2 implementation.
-    fn finish_batch<P: CrowdPlatform>(
-        &self,
-        platform: &mut P,
-        ticket: BatchTicket,
-        cache: Option<&AccuracyCache>,
-    ) -> Result<HitOutcome> {
         let BatchTicket {
             hit,
             questions,
             workers_assigned: workers,
         } = ticket;
         // Cost is measured around this batch's own poll/cancel, so interleaved collects of
-        // other batches (the scheduler path) cannot leak charges into this HIT.
+        // other batches cannot leak charges into this HIT.
         let cost_before = platform.total_cost();
         let answers = platform.poll(hit, f64::INFINITY);
 
         // Phase 2a: estimate worker accuracy from gold questions.
-        let (registry, estimated_mean) = match cache {
-            None => self.build_registry(&questions, &answers),
-            Some(cache) => {
-                // An explicitly configured registry (simulation oracle, estimates from a
-                // previous deployment) seeds the fleet registry as *injected* estimates:
-                // sampled gold estimates always outrank it, per the absorb policy.
-                if let AccuracySource::Registry(r) = &self.config.accuracy_source {
-                    cache.shared().absorb(r);
-                }
-                let (local, local_mean) = self.sample_gold(&questions, &answers);
-                cache.shared().absorb(&local);
-                let registry = cache
-                    .snapshot()
-                    .with_default_accuracy(self.config.default_worker_accuracy);
-                let mean = local_mean.or_else(|| registry.mean_accuracy());
-                (registry, mean)
-            }
-        };
+        let (registry, estimated_mean) = self.build_registry(&questions, &answers);
 
         // Phase 2b: verify every question.
         let mut per_question: BTreeMap<QuestionId, Vec<&WorkerAnswer>> = BTreeMap::new();
@@ -432,52 +388,36 @@ impl CrowdsourcingEngine {
         })
     }
 
-    /// Build the accuracy registry for phase 2 from the configured source.
+    /// Build the accuracy registry for phase 2 from the configured source — the
+    /// configured registry, or Algorithm 4 over this batch's gold questions — and the
+    /// estimated mean accuracy, if any gold answers arrived.
     fn build_registry(
         &self,
         questions: &[CrowdQuestion],
         answers: &[WorkerAnswer],
     ) -> (AccuracyRegistry, Option<f64>) {
-        match &self.config.accuracy_source {
-            AccuracySource::Registry(r) => {
-                let mean = r.mean_accuracy();
-                (
-                    r.clone()
-                        .with_default_accuracy(self.config.default_worker_accuracy),
-                    mean,
-                )
-            }
+        let (registry, mean) = match &self.config.accuracy_source {
+            AccuracySource::Registry(r) => (r.clone(), r.mean_accuracy()),
             AccuracySource::GoldSampling => {
-                let (registry, mean) = self.sample_gold(questions, answers);
-                (
-                    registry.with_default_accuracy(self.config.default_worker_accuracy),
-                    mean,
-                )
+                let truth_by_question: BTreeMap<QuestionId, &Label> = questions
+                    .iter()
+                    .filter(|q| q.is_gold)
+                    .map(|q| (q.id, &q.ground_truth))
+                    .collect();
+                let mut estimator = SamplingEstimator::new();
+                for a in answers {
+                    if let Some(truth) = truth_by_question.get(&a.question) {
+                        estimator.record(a.worker, a.question, &a.label, truth);
+                    }
+                }
+                let mean = estimator.stats().ok().map(|s| s.mean);
+                (estimator.to_registry(), mean)
             }
-        }
-    }
-
-    /// Algorithm 4 over one batch: estimate each participating worker's accuracy from the
-    /// gold questions. Returns the raw per-batch registry (no default accuracy applied)
-    /// and the estimated mean, if any gold answers arrived.
-    fn sample_gold(
-        &self,
-        questions: &[CrowdQuestion],
-        answers: &[WorkerAnswer],
-    ) -> (AccuracyRegistry, Option<f64>) {
-        let truth_by_question: BTreeMap<QuestionId, &Label> = questions
-            .iter()
-            .filter(|q| q.is_gold)
-            .map(|q| (q.id, &q.ground_truth))
-            .collect();
-        let mut estimator = SamplingEstimator::new();
-        for a in answers {
-            if let Some(truth) = truth_by_question.get(&a.question) {
-                estimator.record(a.worker, a.question, &a.label, truth);
-            }
-        }
-        let mean = estimator.stats().ok().map(|s| s.mean);
-        (estimator.to_registry(), mean)
+        };
+        (
+            registry.with_default_accuracy(self.config.default_worker_accuracy),
+            mean,
+        )
     }
 
     /// Verify a single question from its votes (in arrival order). Shared with the clocked
@@ -775,59 +715,6 @@ mod tests {
             "same-shape batches, same cost"
         );
         assert!((o1.cost + o2.cost - p.total_cost()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cached_collect_reuses_estimates_from_earlier_batches() {
-        use cdas_core::sharing::{AccuracyCache, SharedAccuracyRegistry};
-
-        let engine = CrowdsourcingEngine::new(EngineConfig {
-            workers: WorkerCountPolicy::Fixed(7),
-            ..EngineConfig::default()
-        });
-        let mut p = platform(0.8, 41);
-        let cache = AccuracyCache::new(SharedAccuracyRegistry::new());
-
-        // Batch 1 carries gold questions: its estimates land in the shared registry.
-        let t1 = engine.publish_batch(&mut p, batch(8, 4)).unwrap();
-        let o1 = engine.collect_batch_cached(&mut p, t1, &cache).unwrap();
-        assert!(!cache.shared().is_empty());
-        assert!(o1.estimated_mean_accuracy.is_some());
-
-        // Batch 2 has NO gold questions, yet its verification registry is non-empty:
-        // every estimate it weights votes with was learned in batch 1.
-        let t2 = engine.publish_batch(&mut p, batch(8, 0)).unwrap();
-        let o2 = engine.collect_batch_cached(&mut p, t2, &cache).unwrap();
-        assert!(!o2.registry.is_empty());
-        assert!(
-            o2.registry.iter().all(|(_, e)| e.samples > 0),
-            "estimates came from gold sampling"
-        );
-    }
-
-    #[test]
-    fn cached_collect_honours_a_configured_registry_source() {
-        use cdas_core::sharing::{AccuracyCache, SharedAccuracyRegistry};
-
-        let pool = WorkerPool::generate(&PoolConfig::clean(30, 0.8, 51));
-        let oracle = pool.oracle_registry(&sentiment_question(0, false));
-        let engine = CrowdsourcingEngine::new(EngineConfig {
-            workers: WorkerCountPolicy::Fixed(5),
-            accuracy_source: AccuracySource::Registry(oracle),
-            ..EngineConfig::default()
-        });
-        let mut p = SimulatedPlatform::new(pool, CostModel::default(), 51);
-        let cache = AccuracyCache::new(SharedAccuracyRegistry::new());
-        // A gold-free batch: without the configured registry there would be nothing to
-        // weight votes with beyond the default.
-        let ticket = engine.publish_batch(&mut p, batch(6, 0)).unwrap();
-        let outcome = engine.collect_batch_cached(&mut p, ticket, &cache).unwrap();
-        assert_eq!(
-            cache.shared().len(),
-            30,
-            "the oracle registry seeded the fleet registry"
-        );
-        assert_eq!(outcome.registry.len(), 30);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! [`SimulatedPlatform`](cdas_crowd::SimulatedPlatform) /
 //! [`ShardedPlatform`] →
 //! [`PoolLedger`](cdas_crowd::lease::PoolLedger) → [`JobScheduler`] →
-//! [`ScheduledJob`] — ask every caller to hand-wire five structs and pick one of three
-//! divergent entry points (`run` / `run_clocked` / `run_parallel`). The facade collapses
-//! that into three moves:
+//! [`ScheduledJob`] — ask every caller to hand-wire five structs and pick one of two
+//! entry points (`run_clocked` / `run_parallel`). The facade collapses that into three
+//! moves:
 //!
 //! 1. **describe the crowd once** with a [`CrowdSpec`] and build the fleet with the
 //!    typestate [`FleetBuilder`] (a fleet without a crowd does not compile, and
@@ -16,7 +16,7 @@
 //!    [`CdasError`]s, not panics),
 //! 2. **submit [`JobSpec`]s** whose settings layer over the fleet's defaults
 //!    (fleet [`engine defaults`](FleetBuilder::engine_defaults) → per-job overrides), and
-//! 3. **call [`Fleet::run`] with one [`ExecutionMode`]** — `EndOfTime`, `Clocked` or
+//! 3. **call [`Fleet::run`] with one [`ExecutionMode`]** — `Clocked` or
 //!    `Parallel { shards }` — which dispatches to the existing scheduler paths. Those
 //!    paths remain public as the advanced layer; the facade adds no second engine room.
 //!
@@ -44,7 +44,7 @@
 //!     .build()
 //!     .unwrap();
 //! fleet.submit(JobSpec::sentiment("demo", demo_questions(10, 2)).workers(5)).unwrap();
-//! let run = fleet.run(ExecutionMode::EndOfTime).unwrap();
+//! let run = fleet.run(ExecutionMode::Clocked).unwrap();
 //! assert_eq!(run.report().fleet.questions, 10);
 //! assert!(run.verdicts().count() == 10, "one streamed verdict per real question");
 //! ```
@@ -76,13 +76,10 @@ use crate::scheduler::{
     SchedulerConfig,
 };
 
-/// How [`Fleet::run`] executes the submitted jobs. All three modes drive the same
-/// scheduler over the same crowd — they differ only in how time and threads are modelled.
+/// How [`Fleet::run`] executes the submitted jobs. Both modes drive the same clocked
+/// scheduler loop over the same crowd — they differ only in how many threads run it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Poll every batch at the end of time ([`JobScheduler::run`]): ticks are dispatch
-    /// rounds, not time. The fastest mode; no latency or makespan is simulated.
-    EndOfTime,
     /// Discrete-event simulated time ([`JobScheduler::run_clocked`]): answers arrive
     /// under the crowd's latency model, early-terminated HITs are cancelled mid-flight,
     /// and the report carries makespan / time-to-first-verdict / reclaimed minutes.
@@ -404,13 +401,7 @@ impl<Crowd> FleetBuilder<Crowd> {
         self
     }
 
-    /// Set the scheduler's stall valve (default [`SchedulerConfig::default`]'s).
-    pub fn max_ticks(mut self, max_ticks: usize) -> Self {
-        self.scheduler.max_ticks = max_ticks;
-        self
-    }
-
-    /// Set how the clocked loops discover the next arrival event (default
+    /// Set how the clocked loop discovers the next arrival event (default
     /// [`ArrivalDiscovery::Heap`]). [`ArrivalDiscovery::Scan`] is the pre-heap
     /// per-tick scan, retained as the differential-test oracle the heap is checked
     /// against; both produce bit-identical reports.
@@ -645,8 +636,9 @@ impl Fleet {
     /// [`FailpointPlatform`]s armed per [`FleetFailpoints`]. An armed failpoint
     /// **panics** mid-run — callers catch it with `std::panic::catch_unwind`, then hand
     /// the journal directory to [`Fleet::recover`], exactly as a supervisor would after
-    /// a real crash. Journal appends hit the OS unbuffered, so everything appended
-    /// before the panic survives it.
+    /// a real crash. Journal appends are buffered: they reach the OS at each sync point,
+    /// and the rest when the dropped journal flushes during unwinding, so everything
+    /// appended before the panic survives it.
     pub fn run_with_failpoints(
         &self,
         mode: ExecutionMode,
@@ -801,13 +793,6 @@ impl Fleet {
             scheduler.attach_observer(observer);
         }
         let (report, platform_cost) = match mode {
-            ExecutionMode::EndOfTime => {
-                let mut platform =
-                    FailpointPlatform::new(self.crowd.build_platform(), failpoints.for_shard(0));
-                let report = scheduler.run(&mut platform)?;
-                let cost = platform.total_cost();
-                (report, cost)
-            }
             ExecutionMode::Clocked => {
                 let mut platform =
                     FailpointPlatform::new(self.crowd.build_platform(), failpoints.for_shard(0));
@@ -852,8 +837,7 @@ impl Fleet {
 /// One entry of a [`FleetRun`]'s event stream, in simulated-time order. Events are fed
 /// from the data the scheduler already records — the [`DispatchRecord`](crate::scheduler::DispatchRecord) timeline, the
 /// per-batch outcomes, and the per-job clocked rollups — so they cost nothing extra to
-/// produce. In `EndOfTime` runs every `at` is `0.0` (ticks are not time there) and the
-/// stream falls back to dispatch order.
+/// produce.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FleetEvent {
     /// A job's first batch was dispatched.
@@ -897,15 +881,14 @@ pub enum FleetEvent {
         /// the event into the timeline at the earliest point it could have happened.
         at: f64,
     },
-    /// A job produced its first final verdict on a real question (clocked runs only).
+    /// A job produced its first final verdict on a real question.
     FirstVerdict {
         /// The job.
         job: JobId,
         /// Simulated minute of the verdict.
         at: f64,
     },
-    /// A mid-flight cancellation handed worker-minutes back to the pool (clocked runs
-    /// only).
+    /// A mid-flight cancellation handed worker-minutes back to the pool.
     LeaseReclaimed {
         /// The cancelling job.
         job: JobId,
@@ -922,14 +905,13 @@ pub enum FleetEvent {
         questions: usize,
         /// The job's real accuracy against ground truth.
         accuracy: f64,
-        /// Simulated minute of completion (`0.0` in `EndOfTime` runs).
+        /// Simulated minute of completion.
         at: f64,
     },
 }
 
 impl FleetEvent {
-    /// The simulated minute this event is anchored to (`0.0` throughout `EndOfTime`
-    /// runs).
+    /// The simulated minute this event is anchored to.
     pub fn at(&self) -> f64 {
         match self {
             FleetEvent::JobStarted { at, .. }
@@ -974,7 +956,7 @@ impl FleetRun {
         self.report
     }
 
-    /// The event stream, ordered by simulated time (dispatch order in `EndOfTime` runs).
+    /// The event stream, ordered by simulated time.
     pub fn events(&self) -> &[FleetEvent] {
         &self.events
     }
@@ -1066,8 +1048,7 @@ fn stream_events(report: &FleetReport, scheduler: &JobScheduler) -> Vec<FleetEve
         });
     }
     // Stable: equal-time events keep their insertion order, which is dispatch order for
-    // the timeline and per-job order for the rollup events — exactly what an observer of
-    // an unclocked run (all `at == 0.0`) should see.
+    // the timeline and per-job order for the rollup events.
     events.sort_by(|a, b| a.at().total_cmp(&b.at()));
     events
 }
@@ -1106,7 +1087,7 @@ mod tests {
     #[test]
     fn builder_without_jobs_runs_an_empty_fleet() {
         let fleet = Fleet::builder().crowd(spec()).build().unwrap();
-        let run = fleet.run(ExecutionMode::EndOfTime).unwrap();
+        let run = fleet.run(ExecutionMode::Clocked).unwrap();
         assert!(run.report().jobs.is_empty());
         assert!(run.events().is_empty());
         assert_eq!(run.verdicts().count(), 0);
@@ -1190,8 +1171,8 @@ mod tests {
     fn all_three_modes_resolve_every_question() {
         let fleet = demo_fleet();
         for mode in [
-            ExecutionMode::EndOfTime,
             ExecutionMode::Clocked,
+            ExecutionMode::Parallel { shards: 1 },
             ExecutionMode::Parallel { shards: 2 },
         ] {
             let run = fleet.run(mode).unwrap();

@@ -169,7 +169,7 @@ pub struct JournalConfig {
     /// Fault injection: silently stop persisting after this many bytes have been
     /// written through this handle, cutting the final write mid-frame — the byte-level
     /// "kill the writer" crash the durability proptests exercise. `None` (the default)
-    /// disables the failpoint.
+    /// disables the failpoint. Never persisted: a config decoded from a journal has `None`.
     pub fail_writes_after: Option<u64>,
 }
 

@@ -42,7 +42,7 @@ pub struct RunConfig {
     pub crowd: CrowdSpec,
     /// The scheduler configuration.
     pub scheduler: SchedulerConfig,
-    /// The execution mode (`EndOfTime`, `Clocked`, or `Parallel`).
+    /// The execution mode (`Clocked` or `Parallel`).
     pub mode: ExecutionMode,
     /// The fully resolved jobs, in submission order.
     pub jobs: Vec<ScheduledJob>,
@@ -249,7 +249,6 @@ impl BinCodec for SchedulerConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         self.policy.encode(out);
         self.seed.encode(out);
-        self.max_ticks.encode(out);
         self.discovery.encode(out);
     }
 
@@ -257,7 +256,6 @@ impl BinCodec for SchedulerConfig {
         Ok(SchedulerConfig {
             policy: DispatchPolicy::decode(input)?,
             seed: u64::decode(input)?,
-            max_ticks: usize::decode(input)?,
             discovery: ArrivalDiscovery::decode(input)?,
         })
     }
@@ -266,7 +264,6 @@ impl BinCodec for SchedulerConfig {
 impl BinCodec for ExecutionMode {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            ExecutionMode::EndOfTime => out.push(0),
             ExecutionMode::Clocked => out.push(1),
             ExecutionMode::Parallel { shards } => {
                 out.push(2);
@@ -277,7 +274,6 @@ impl BinCodec for ExecutionMode {
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
         match u8::decode(input)? {
-            0 => Ok(ExecutionMode::EndOfTime),
             1 => Ok(ExecutionMode::Clocked),
             2 => Ok(ExecutionMode::Parallel {
                 shards: usize::decode(input)?,
@@ -748,18 +744,20 @@ impl BinCodec for SyncPolicy {
     }
 }
 
+/// `fail_writes_after` is a fault-injection knob for the writer that sets it, not part
+/// of the journal's durable configuration: it is not encoded and decodes as `None`, so a
+/// recovery that reads the config back never re-arms a failpoint that already fired.
 impl BinCodec for JournalConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         self.max_segment_bytes.encode(out);
         self.sync.encode(out);
-        self.fail_writes_after.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
         Ok(JournalConfig {
             max_segment_bytes: u64::decode(input)?,
             sync: SyncPolicy::decode(input)?,
-            fail_writes_after: Option::<u64>::decode(input)?,
+            fail_writes_after: None,
         })
     }
 }
@@ -1039,10 +1037,8 @@ mod tests {
         round_trip(SchedulerConfig {
             policy: DispatchPolicy::Priority,
             seed: 99,
-            max_ticks: 123,
             discovery: ArrivalDiscovery::Scan,
         });
-        round_trip(ExecutionMode::EndOfTime);
         round_trip(ExecutionMode::Clocked);
         round_trip(ExecutionMode::Parallel { shards: 4 });
         round_trip(DispatchRecord {
@@ -1052,6 +1048,12 @@ mod tests {
             workers: vec![WorkerId(2), WorkerId(5)],
             at: 8.75,
         });
+    }
+
+    #[test]
+    fn execution_mode_tag_0_is_rejected() {
+        let error = ExecutionMode::from_bytes(&[0]).expect_err("tag 0 has no mode");
+        assert_eq!(error.detail, "invalid ExecutionMode tag 0");
     }
 
     #[test]
@@ -1146,14 +1148,22 @@ mod tests {
         ] {
             round_trip(policy);
         }
-        round_trip(JournalConfig {
+        let journal = JournalConfig {
             max_segment_bytes: 4096,
             sync: SyncPolicy::GroupCommit {
                 max_batch: 3,
                 max_delay_ms: 125,
             },
             fail_writes_after: Some(999),
-        });
+        };
+        assert_eq!(
+            JournalConfig::from_bytes(&journal.to_bytes()).expect("decodes"),
+            JournalConfig {
+                fail_writes_after: None,
+                ..journal
+            },
+            "the write-kill failpoint is not persisted"
+        );
         for decision in [
             AdmissionDecision::Accept,
             AdmissionDecision::Queue,

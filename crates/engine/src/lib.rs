@@ -23,9 +23,8 @@
 //!   pool: disjoint worker leases per in-flight HIT (RAII guards that release on drop, so
 //!   no error or panic strands workers), a fleet-wide lock-striped shared accuracy
 //!   registry, and round-robin/priority dispatch (the §2.1 job manager at scale) —
-//!   unclocked via [`scheduler::JobScheduler::run`], time-aware via
-//!   [`scheduler::JobScheduler::run_clocked`], where cancelled HITs hand their leases to
-//!   waiting jobs mid-run, or **parallel across OS threads** via
+//!   under simulated time via [`scheduler::JobScheduler::run_clocked`], where cancelled
+//!   HITs hand their leases to waiting jobs mid-run, or **parallel across OS threads** via
 //!   [`scheduler::JobScheduler::run_parallel`] over a sharded platform
 //!   (`cdas_crowd::sharded::ShardedPlatform`), of which `run_clocked` is the one-shard
 //!   special case, and

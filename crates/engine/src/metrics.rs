@@ -99,14 +99,13 @@ pub struct JobReport {
     pub ticks_waited: usize,
     /// Distinct workers that served this job across all its batches.
     pub distinct_workers: usize,
-    /// Simulated time of the job's first final verdict on a real question (clocked runs
-    /// only; `None` for unclocked runs or when nothing was accepted).
+    /// Simulated time of the job's first final verdict on a real question (`None` when
+    /// nothing was accepted).
     pub time_to_first_verdict: Option<f64>,
-    /// Simulated time the job's last batch completed (0.0 for unclocked runs).
+    /// Simulated time the job's last batch completed.
     pub completed_at: f64,
     /// Simulated worker-minutes handed back to the pool by this job's mid-flight
-    /// cancellations (0.0 for unclocked runs — cancelling at the end of time reclaims
-    /// nothing).
+    /// cancellations.
     pub reclaimed_minutes: f64,
     /// Per-question answers of this job cancelled before delivery (never paid).
     pub answers_cancelled: usize,
@@ -115,8 +114,8 @@ pub struct JobReport {
 /// One platform shard's rollup in a parallel fleet run ([`JobScheduler::run_parallel`]):
 /// which jobs the shard owned, how much simulated and real time its thread spent, and its
 /// share of the fleet's questions, dollars and reclaimed minutes. Sequential runs
-/// (`run`/`run_clocked`) report themselves as the single shard 0 of the same shape — they
-/// are the one-shard special case of the parallel code path.
+/// (`run_clocked`) report themselves as the single shard 0 of the same shape — they are
+/// the one-shard special case of the parallel code path.
 ///
 /// [`JobScheduler::run_parallel`]: crate::scheduler::JobScheduler::run_parallel
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -151,14 +150,13 @@ pub struct FleetReport {
     /// Metrics over every batch of every job.
     pub fleet: AccuracyReport,
     /// Per-shard rollups: one entry per OS thread in a parallel run, exactly one entry
-    /// (shard 0) for the sequential `run`/`run_clocked` paths.
+    /// (shard 0) for the sequential `run_clocked` path.
     pub shards: Vec<ShardReport>,
-    /// Number of scheduler ticks the fleet took, summed across shards. In a clocked run
-    /// every tick advances simulated time to the next answer arrival, so ticks are
-    /// *events*, not time — see [`makespan`](Self::makespan).
+    /// Number of scheduler ticks the fleet took, summed across shards. Every tick
+    /// advances simulated time to the next answer arrival, so ticks are *events*, not
+    /// time — see [`makespan`](Self::makespan).
     pub ticks: usize,
-    /// Simulated minutes from the start of the run to the completion of its last batch
-    /// (0.0 for unclocked runs, which have no notion of time).
+    /// Simulated minutes from the start of the run to the completion of its last batch.
     pub makespan: f64,
     /// Simulated worker-minutes reclaimed fleet-wide by mid-flight cancellations.
     pub reclaimed_minutes: f64,
@@ -189,7 +187,8 @@ impl FleetReport {
         self.fleet.cost
     }
 
-    /// The largest number of HITs that were in flight during one tick.
+    /// The largest number of HITs dispatched in one tick (a lower bound on how many were
+    /// in flight at once).
     pub fn max_concurrent_hits(&self) -> usize {
         let mut per_tick: BTreeMap<usize, usize> = BTreeMap::new();
         for d in &self.dispatches {
@@ -198,7 +197,8 @@ impl FleetReport {
         per_tick.values().copied().max().unwrap_or(0)
     }
 
-    /// Fleet throughput in real questions per simulated minute (0 for unclocked runs).
+    /// Fleet throughput in real questions per simulated minute (0 when no simulated time
+    /// passed).
     pub fn questions_per_minute(&self) -> f64 {
         if self.makespan <= 0.0 {
             0.0

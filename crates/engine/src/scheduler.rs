@@ -21,13 +21,14 @@
 //! The run ends when every job has ingested its last batch, returning a
 //! [`crate::metrics::FleetReport`] with per-job and fleet-wide accuracy/cost/throughput.
 //!
-//! [`JobScheduler::run`] polls every batch at the end of time — batches live exactly one
-//! tick, and ticks are not time. [`JobScheduler::run_clocked`] is the discrete-event
-//! variant: ticks advance a [`SimClock`] to the next answer arrival under the pool's
-//! [`cdas_crowd::arrival::LatencyModel`], batches stay in flight while their workers are
-//! genuinely working, early-terminated HITs are cancelled *mid-flight* with their leases
-//! returned to the pool for other jobs to pick up, and the report additionally carries
-//! makespan, time-to-first-verdict and worker-minutes reclaimed.
+//! [`JobScheduler::run_clocked`] is a discrete-event loop: ticks advance a [`SimClock`]
+//! to the next answer arrival under the pool's [`cdas_crowd::arrival::LatencyModel`],
+//! batches stay in flight while their workers are genuinely working, early-terminated
+//! HITs are cancelled *mid-flight* with their leases returned to the pool for other jobs
+//! to pick up, and the report carries makespan, time-to-first-verdict and worker-minutes
+//! reclaimed. Over a platform without arrival look-ahead
+//! ([`CrowdPlatform::next_arrival`] returns `None`) every batch drains in one poll, so
+//! batches live exactly one tick.
 //! [`JobScheduler::run_parallel`] is the scale-out variant: it stripes the jobs across
 //! the shards of a [`ShardedPlatform`] and runs one clocked event loop **per OS thread**,
 //! sharing only the lock-striped [`SharedAccuracyRegistry`] — `run_clocked` is the
@@ -53,7 +54,7 @@
 //!
 //! let questions = cdas_engine::fixtures::demo_questions(10, 2);
 //! scheduler.submit(ScheduledJob::named(JobKind::SentimentAnalytics, "demo", questions));
-//! let report = scheduler.run(&mut platform).unwrap();
+//! let report = scheduler.run_clocked(&mut platform).unwrap();
 //! assert_eq!(report.jobs.len(), 1);
 //! assert!(report.fleet.accuracy > 0.5);
 //! ```
@@ -82,6 +83,10 @@ use crate::engine::{BatchTicket, CrowdsourcingEngine, EngineConfig, HitOutcome};
 use crate::job_manager::{AnalyticsJob, JobKind};
 use crate::metrics::{score_hits, FleetReport, JobReport, ShardReport};
 use crate::query::Query;
+
+/// The clocked loop's stall valve never fires before this many ticks, however small
+/// the fleet.
+const MIN_STALL_TICKS: usize = 10_000;
 
 /// Identifier of a submitted job (the submission index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -126,8 +131,6 @@ pub struct SchedulerConfig {
     /// Seed for the lease-selection RNG (worker checkout is randomized like §3.1's
     /// "n random workers", but only over the *free* part of the roster).
     pub seed: u64,
-    /// Safety valve: abort with [`CdasError::SchedulerStalled`] after this many ticks.
-    pub max_ticks: usize,
     /// How the clocked loop finds the next arrival event: the production heap, or the
     /// scan that differential tests compare it against.
     pub discovery: ArrivalDiscovery,
@@ -138,7 +141,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             policy: DispatchPolicy::RoundRobin,
             seed: 42,
-            max_ticks: 10_000,
             discovery: ArrivalDiscovery::Heap,
         }
     }
@@ -221,7 +223,7 @@ pub struct DispatchRecord {
     pub hit: HitId,
     /// The leased workers the HIT was restricted to.
     pub workers: Vec<WorkerId>,
-    /// Simulated time of the dispatch (0.0 in unclocked runs, where ticks are not time).
+    /// Simulated time of the dispatch.
     pub at: f64,
 }
 
@@ -248,7 +250,7 @@ pub struct BatchCommit {
     pub outcome: HitOutcome,
     /// What the batch charged the requester (`outcome.cost`).
     pub charge: f64,
-    /// Simulated completion time (0.0 in unclocked runs).
+    /// Simulated completion time.
     pub completed_at: f64,
     /// Simulated time of the batch's first verdict, if any arrived.
     pub first_verdict_at: Option<f64>,
@@ -321,26 +323,11 @@ impl RunObserver for ShardRelabel {
     }
 }
 
-/// A batch published in the current tick's dispatch phase, awaiting this tick's ingest
-/// phase. Batches live exactly one tick: dispatch leases and publishes, ingest collects,
-/// and the [`WorkerLease`] guard releases on drop — at the end of the tick on the happy
-/// path, or during unwinding/early return on every other path, so leases are held only
-/// while HITs genuinely coexist and can never leak.
-struct Inflight {
-    job: usize,
-    /// The batch's range within its job's question list (avoids storing the questions
-    /// twice — the ticket owns the published copy, the job owns the original).
-    range: std::ops::Range<usize>,
-    ticket: BatchTicket,
-    /// RAII guard: dropping the `Inflight` returns the workers to the ledger.
-    _lease: WorkerLease,
-}
-
-/// A batch in flight in a **clocked** run. Unlike [`Inflight`], it lives across ticks:
-/// the lease guard is held for exactly as long as the HIT is genuinely running and drops
-/// the moment the batch completes — naturally, by mid-flight cancellation, or because an
-/// error (or panic) tore the run down — so other jobs can lease the freed workers while
-/// slower HITs are still out, and no failure mode strands workers.
+/// A batch in flight. It lives across ticks: the lease guard is held for exactly as long
+/// as the HIT is genuinely running and drops the moment the batch completes — naturally,
+/// by mid-flight cancellation, or because an error (or panic) tore the run down — so
+/// other jobs can lease the freed workers while slower HITs are still out, and no
+/// failure mode strands workers.
 struct ClockedInflight {
     job: usize,
     range: std::ops::Range<usize>,
@@ -370,7 +357,7 @@ struct JobState {
     /// Whether the job has a batch in flight in the current clocked run: set at
     /// dispatch, cleared when the batch commits.
     in_flight: bool,
-    // Clocked-run rollups; stay at their defaults in unclocked runs.
+    // Clocked-run rollups.
     completed_at: f64,
     first_verdict_at: Option<f64>,
     reclaimed_minutes: f64,
@@ -383,8 +370,8 @@ impl JobState {
     }
 }
 
-/// The multi-job scheduler: submit N jobs, then [`run`](Self::run) them to completion
-/// against one platform and one shared worker roster.
+/// The multi-job scheduler: submit N jobs, then [`run_clocked`](Self::run_clocked) them to
+/// completion against one platform and one shared worker roster.
 ///
 /// ```
 /// use cdas_crowd::lease::PoolLedger;
@@ -523,113 +510,6 @@ impl JobScheduler {
         (0..n).map(move |k| sorted.get(k).copied().unwrap_or_else(|| rotated(k)))
     }
 
-    /// Run every submitted job to completion, interleaving phase-1 publishes and phase-2
-    /// ingestion across jobs each tick.
-    ///
-    /// Errors with [`CdasError::PoolExhausted`] when a job's worker demand exceeds the
-    /// roster outright, and [`CdasError::SchedulerStalled`] if a tick ever makes no
-    /// progress (a configuration the ledger can never satisfy).
-    ///
-    /// ```
-    /// use cdas_core::economics::CostModel;
-    /// use cdas_crowd::lease::PoolLedger;
-    /// use cdas_crowd::pool::{PoolConfig, WorkerPool};
-    /// use cdas_crowd::SimulatedPlatform;
-    /// use cdas_engine::job_manager::JobKind;
-    /// use cdas_engine::fixtures::demo_questions;
-    /// use cdas_engine::scheduler::{JobScheduler, ScheduledJob, SchedulerConfig};
-    ///
-    /// let pool = WorkerPool::generate(&PoolConfig::clean(12, 0.8, 3));
-    /// let mut platform = SimulatedPlatform::new(pool.clone(), CostModel::default(), 3);
-    /// let mut scheduler =
-    ///     JobScheduler::new(SchedulerConfig::default(), PoolLedger::from_pool(&pool));
-    /// // Two 5-worker jobs over a 12-worker pool: both fit in flight at once.
-    /// for name in ["alpha", "beta"] {
-    ///     scheduler.submit(ScheduledJob::named(
-    ///         JobKind::SentimentAnalytics, name, demo_questions(8, 2)));
-    /// }
-    /// let report = scheduler.run(&mut platform).unwrap();
-    /// assert_eq!(report.jobs.len(), 2);
-    /// assert_eq!(report.fleet.questions, 16, "8 real questions per job");
-    /// assert!(report.registry_size > 0, "gold estimates were shared");
-    /// ```
-    pub fn run<P: CrowdPlatform>(&mut self, platform: &mut P) -> Result<FleetReport> {
-        // cdas-allow(determinism): wall-clock telemetry only feeds `wall_seconds`, which report equality ignores
-        let started = Instant::now();
-        self.check_feasibility(self.ledger.roster_len())?;
-        let mut dispatches: Vec<DispatchRecord> = Vec::new();
-        let mut order = Vec::new();
-        let mut ticks = 0usize;
-        while self.jobs.iter().any(|j| !j.finished()) {
-            ticks += 1;
-            if ticks > self.config.max_ticks {
-                return Err(CdasError::SchedulerStalled { ticks });
-            }
-            // Phase 1: dispatch — one batch per unfinished job, policy order, for as long
-            // as the ledger can satisfy the lease. The lease guards of this tick's batches
-            // are all held simultaneously, which is what keeps concurrent HITs disjoint.
-            let mut inflight: Vec<Inflight> = Vec::new();
-            for idx in self.dispatch_order(ticks, &mut order) {
-                if self.jobs.get(idx).map_or(true, |j| j.finished()) {
-                    continue;
-                }
-                if let Some((range, ticket, lease)) =
-                    self.try_dispatch(idx, ticks, 0.0, platform, &mut dispatches)?
-                {
-                    inflight.push(Inflight {
-                        job: idx,
-                        range,
-                        ticket,
-                        _lease: lease,
-                    });
-                }
-            }
-
-            if inflight.is_empty() {
-                // Unfinished jobs exist (loop condition) but none could lease: with all
-                // leases released at tick end this can only be a progress bug.
-                return Err(CdasError::SchedulerStalled { ticks });
-            }
-
-            // Phase 2: ingest every in-flight batch, sharing estimates as we go. Each
-            // batch's lease guard drops at the end of its iteration — and the whole
-            // vector unwinds on an early `?` return — so no path, happy or failing, can
-            // leak workers out of the roster.
-            for batch in inflight {
-                let observer = self.observer.clone();
-                // A batch's job index came from this scheduler's own dispatch loop; an
-                // unknown id would mean the in-flight set was corrupted, and dropping
-                // the batch (lease and all) is the panic-free way out.
-                let Some(state) = self.jobs.get_mut(batch.job) else {
-                    continue;
-                };
-                let outcome =
-                    state
-                        .engine
-                        .collect_batch_cached(platform, batch.ticket, &self.cache)?;
-                if let Some(observer) = &observer {
-                    observer.on_commit(&BatchCommit {
-                        job: JobId(batch.job),
-                        seq: state.runs.len(),
-                        hit: outcome.hit,
-                        range: batch.range.clone(),
-                        charge: outcome.cost,
-                        completed_at: 0.0,
-                        first_verdict_at: None,
-                        reclaimed_minutes: 0.0,
-                        answers_cancelled: 0,
-                        cancelled: false,
-                        outcome: outcome.clone(),
-                    });
-                }
-                state.runs.push((batch.range, outcome));
-            }
-        }
-
-        let seed = self.seed_shard(ticks, 0.0, started.elapsed().as_secs_f64());
-        Ok(self.report(ticks, dispatches, 0.0, vec![seed]))
-    }
-
     /// Run every submitted job to completion under **simulated time**: a discrete-event
     /// loop in which every tick advances a [`SimClock`] to the next answer arrival across
     /// all in-flight HITs, polls incrementally, and — when a job's batch terminates early —
@@ -642,6 +522,11 @@ impl JobScheduler {
     ///
     /// Each job keeps at most one batch in flight, so leases are held exactly while their
     /// HIT is genuinely running.
+    ///
+    /// Errors with [`CdasError::PoolExhausted`] when a job's worker demand exceeds the
+    /// roster outright, and [`CdasError::SchedulerStalled`] if the run makes no progress
+    /// (a configuration the ledger can never satisfy, or a platform whose arrivals never
+    /// drain).
     ///
     /// ```
     /// use cdas_core::economics::CostModel;
@@ -775,7 +660,7 @@ impl JobScheduler {
         // this moment are excluded outright — the shard ledgers are independent tables,
         // so this is the only point where an outstanding external lease can be honoured
         // (a lease taken through the parent *during* the parallel run is not observed,
-        // unlike in `run`/`run_clocked`, which lease from the parent tick by tick).
+        // unlike in `run_clocked`, which leases from the parent tick by tick).
         let parent_roster = self.ledger.roster();
         let rosters: Vec<Vec<WorkerId>> = platform
             .shards()
@@ -1034,7 +919,7 @@ impl JobScheduler {
         // Clocked ticks are arrival *events*, not dispatch rounds: a fleet ingests one
         // worker submission per tick at minimum, so the stall valve must scale with the
         // fleet's expected submission count or a large-but-progressing run would be
-        // aborted mid-flight. `max_ticks` stays the floor for tiny fleets.
+        // aborted mid-flight. `MIN_STALL_TICKS` is the floor for tiny fleets.
         let expected_events: usize = self
             .jobs
             .iter()
@@ -1043,7 +928,7 @@ impl JobScheduler {
                 batches * s.engine.decide_workers().unwrap_or(1)
             })
             .sum();
-        let max_ticks = self.config.max_ticks.max(expected_events.saturating_mul(2));
+        let max_ticks = MIN_STALL_TICKS.max(expected_events.saturating_mul(2));
         let heap_mode = self.config.discovery == ArrivalDiscovery::Heap;
 
         // The event heap (Heap mode only): one scheduled arrival per in-flight HIT.
@@ -1222,8 +1107,8 @@ impl JobScheduler {
                 let clocked = batch
                     .collector
                     .finalize(clock.now(), receipt, Some(&self.cache))?;
-                // Same provenance as the unclocked loop: the index is ours, so a miss
-                // can only mean a corrupted in-flight set — skip, don't panic.
+                // The index came from this loop's own dispatch phase, so a miss can
+                // only mean a corrupted in-flight set — skip, don't panic.
                 let Some(state) = self.jobs.get_mut(batch.job) else {
                     continue;
                 };
@@ -1256,11 +1141,11 @@ impl JobScheduler {
         Ok(ticks)
     }
 
-    /// Phase-1 dispatch for one job, shared by the unclocked and clocked loops: lease the
-    /// job's workers, slice its next batch, publish to the leased workers, and record the
-    /// dispatch at tick `tick` / simulated time `at`. Returns `None` — after recording
-    /// the wait — when the ledger cannot satisfy the lease right now. On success the
-    /// [`WorkerLease`] guard is handed to the caller, whose drop is the release.
+    /// Phase-1 dispatch for one job: lease the job's workers, slice its next batch,
+    /// publish to the leased workers, and record the dispatch at tick `tick` / simulated
+    /// time `at`. Returns `None` — after recording the wait — when the ledger cannot
+    /// satisfy the lease right now. On success the [`WorkerLease`] guard is handed to the
+    /// caller, whose drop is the release.
     fn try_dispatch<P: CrowdPlatform>(
         &mut self,
         idx: usize,
@@ -1566,7 +1451,7 @@ mod tests {
                     .with_batch_size(5),
             );
         }
-        let report = scheduler.run(&mut platform).unwrap();
+        let report = scheduler.run_clocked(&mut platform).unwrap();
         assert_eq!(report.jobs.len(), 3);
         assert_eq!(report.fleet.questions, 36, "3 jobs × 12 real questions");
         for job in &report.jobs {
@@ -1594,7 +1479,7 @@ mod tests {
                     .with_batch_size(4),
             );
         }
-        let report = scheduler.run(&mut platform).unwrap();
+        let report = scheduler.run_clocked(&mut platform).unwrap();
         // Group dispatches by tick; concurrently in-flight worker sets must be disjoint.
         for a in &report.dispatches {
             for b in &report.dispatches {
@@ -1638,7 +1523,7 @@ mod tests {
                 .with_batch_size(4)
                 .with_priority(9),
         );
-        let report = scheduler.run(&mut platform).unwrap();
+        let report = scheduler.run_clocked(&mut platform).unwrap();
         let last_high = report
             .dispatches
             .iter()
@@ -1660,27 +1545,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_deterministic_for_a_seed() {
-        let run = || {
-            let (mut platform, ledger) = setup(25, 11);
-            let mut scheduler = JobScheduler::new(SchedulerConfig::default(), ledger);
-            for name in ["x", "y"] {
-                scheduler.submit(
-                    ScheduledJob::named(JobKind::SentimentAnalytics, name, demo_questions(8, 2))
-                        .with_engine(fixed_engine(7))
-                        .with_batch_size(5),
-                );
-            }
-            scheduler.run(&mut platform).unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.dispatches, b.dispatches);
-        assert_eq!(a.fleet, b.fleet);
-        assert_eq!(a.ticks, b.ticks);
-    }
-
-    #[test]
     fn oversized_job_is_rejected_up_front() {
         let (mut platform, ledger) = setup(5, 1);
         let mut scheduler = JobScheduler::new(SchedulerConfig::default(), ledger);
@@ -1688,7 +1552,7 @@ mod tests {
             ScheduledJob::named(JobKind::SentimentAnalytics, "huge", demo_questions(4, 1))
                 .with_engine(fixed_engine(9)),
         );
-        match scheduler.run(&mut platform) {
+        match scheduler.run_clocked(&mut platform) {
             Err(CdasError::PoolExhausted { needed, available }) => {
                 assert_eq!(needed, 9);
                 assert_eq!(available, 5);
@@ -1701,7 +1565,7 @@ mod tests {
     fn empty_scheduler_reports_an_empty_fleet() {
         let (mut platform, ledger) = setup(5, 1);
         let mut scheduler = JobScheduler::new(SchedulerConfig::default(), ledger);
-        let report = scheduler.run(&mut platform).unwrap();
+        let report = scheduler.run_clocked(&mut platform).unwrap();
         assert!(report.jobs.is_empty());
         assert_eq!(report.ticks, 0);
         assert_eq!(report.fleet.questions, 0);
@@ -1989,13 +1853,7 @@ mod tests {
         };
         let ledger = PoolLedger::from_pool(&pool);
         let observer = ledger.clone();
-        let mut scheduler = JobScheduler::new(
-            SchedulerConfig {
-                max_ticks: 40,
-                ..SchedulerConfig::default()
-            },
-            ledger,
-        );
+        let mut scheduler = JobScheduler::new(SchedulerConfig::default(), ledger);
         scheduler.submit(
             ScheduledJob::named(JobKind::SentimentAnalytics, "stuck", demo_questions(4, 1))
                 .with_engine(fixed_engine(7)),
@@ -2025,7 +1883,7 @@ mod tests {
             ScheduledJob::named(JobKind::SentimentAnalytics, "wave-1", demo_questions(6, 4))
                 .with_engine(fixed_engine(7)),
         );
-        first.run(&mut platform).unwrap();
+        first.run_clocked(&mut platform).unwrap();
         let carried = first.shared_registry().clone();
         assert!(!carried.is_empty());
 
@@ -2037,7 +1895,7 @@ mod tests {
             ScheduledJob::named(JobKind::ImageTagging, "wave-2", demo_questions(6, 0))
                 .with_engine(fixed_engine(7)),
         );
-        let report = second.run(&mut platform).unwrap();
+        let report = second.run_clocked(&mut platform).unwrap();
         assert!(report.fleet.accuracy > 0.5);
         let outcome = second.outcomes(id)[0].1;
         assert!(!outcome.registry.is_empty());

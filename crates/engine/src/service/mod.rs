@@ -491,7 +491,6 @@ impl FleetService {
             .crowd(self.config.crowd.clone())
             .policy(self.config.scheduler.policy)
             .scheduler_seed(self.config.scheduler.seed)
-            .max_ticks(self.config.scheduler.max_ticks)
             .arrival_discovery(self.config.scheduler.discovery)
             .shards(shards)
             .journal(epoch_dir(&self.dir, epoch))

@@ -45,7 +45,7 @@ fn main() {
                 )
                 .build()
                 .expect("a well-formed fleet");
-            let run = fleet.run(ExecutionMode::EndOfTime).expect("IT run");
+            let run = fleet.run(ExecutionMode::Clocked).expect("IT run");
             row.push_str(&format!(" {:>9.1}%", run.report().fleet.accuracy * 100.0));
         }
         println!("{row}");

@@ -6,7 +6,7 @@
 //! worker's votes everywhere else.
 //!
 //! The whole fleet is wired through the front door: one `CrowdSpec`, one
-//! `Fleet::builder()` chain, one `run(ExecutionMode::EndOfTime)`. The scheduler, ledger
+//! `Fleet::builder()` chain, one `run(ExecutionMode::Clocked)`. The scheduler, ledger
 //! and platform it used to take five structs to assemble are derived behind the facade.
 //!
 //! Run with: `cargo run -p cdas --example multi_job`
@@ -62,7 +62,7 @@ fn main() {
         .build()
         .expect("a well-formed fleet");
 
-    let run = fleet.run(ExecutionMode::EndOfTime).expect("fleet run");
+    let run = fleet.run(ExecutionMode::Clocked).expect("fleet run");
     let report = run.report();
 
     println!(

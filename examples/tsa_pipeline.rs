@@ -66,7 +66,7 @@ fn main() {
         )
         .build()
         .expect("a well-formed fleet");
-    let run = fleet.run(ExecutionMode::EndOfTime).expect("TSA run");
+    let run = fleet.run(ExecutionMode::Clocked).expect("TSA run");
     let report = run.report();
 
     // Machine baseline accuracy over the same tweets.

@@ -1,11 +1,11 @@
 //! Differential suite for the event-heap scheduler core.
 //!
-//! The clocked loops ship two arrival-discovery modes: [`ArrivalDiscovery::Heap`] (the
+//! The clocked loop ships two arrival-discovery modes: [`ArrivalDiscovery::Heap`] (the
 //! production path — a lazy-deletion binary min-heap over
 //! `CrowdPlatform::next_arrival` look-aheads) and [`ArrivalDiscovery::Scan`] (the
 //! pre-heap per-tick scan, retained as the oracle). This suite pins the PR's central
 //! claim: **the two modes are bit-identical in everything but wall-clock time**, across
-//! randomized crowds, seeds, job mixes, and all three [`ExecutionMode`]s — so the heap
+//! randomized crowds, seeds, job mixes, and both [`ExecutionMode`]s — so the heap
 //! is purely a complexity win, never a behavior change.
 //!
 //! It also covers the two paths a plain `SimulatedPlatform` run never exercises:
@@ -117,11 +117,6 @@ fn contended_case() -> FleetCase {
 }
 
 #[test]
-fn heap_equals_scan_end_of_time() {
-    contended_case().assert_equivalent(ExecutionMode::EndOfTime);
-}
-
-#[test]
 fn heap_equals_scan_clocked() {
     contended_case().assert_equivalent(ExecutionMode::Clocked);
 }
@@ -132,8 +127,8 @@ fn heap_equals_scan_parallel() {
 }
 
 proptest! {
-    /// The differential property: over randomized crowds, seeds and job mixes, and all
-    /// three execution modes, the heap-driven scheduler's report is bit-identical to the
+    /// The differential property: over randomized crowds, seeds and job mixes, and both
+    /// execution modes, the heap-driven scheduler's report is bit-identical to the
     /// pre-heap scan oracle under `ignoring_wall_clock()` — and so is the event stream.
     #[test]
     fn heap_equals_scan_oracle_across_modes(
@@ -146,7 +141,7 @@ proptest! {
             ((3u64..9, 1u64..3), (3usize..6, 2usize..6, 0usize..4)),
             1..4,
         ),
-        mode_index in 0usize..3,
+        mode_index in 0usize..2,
     ) {
         let job_seeds: Vec<(u64, u64, usize, usize, usize)> = job_seeds
             .into_iter()
@@ -163,8 +158,7 @@ proptest! {
             jobs: job_seeds,
         };
         let mode = match mode_index {
-            0 => ExecutionMode::EndOfTime,
-            1 => ExecutionMode::Clocked,
+            0 => ExecutionMode::Clocked,
             _ => ExecutionMode::Parallel { shards: 2 },
         };
         case.assert_equivalent(mode);

@@ -2,7 +2,7 @@
 //!
 //! Where `tests/journal_recovery.rs` attacks the journal's *bytes* (write kills,
 //! truncation, corruption), this suite attacks the *process*: a [`FailpointPlatform`]
-//! panics mid-poll — on the single platform of an `EndOfTime`/`Clocked` run, or on one
+//! panics mid-poll — on the single platform of a `Clocked` run, or on one
 //! shard thread of a `Parallel` run (the kill -9 drill) — and `Fleet::recover` must
 //! resume the journaled wreckage to a run indistinguishable from one that never
 //! crashed, without re-paying any HIT the crashed run already committed.
@@ -161,7 +161,6 @@ fn killing_a_shard_thread_recovers_without_double_paying() {
 fn crash_matrix_across_all_modes() {
     silence_injected_panics();
     for (m, mode) in [
-        ExecutionMode::EndOfTime,
         ExecutionMode::Clocked,
         ExecutionMode::Parallel { shards: 2 },
     ]
@@ -169,14 +168,7 @@ fn crash_matrix_across_all_modes() {
     .enumerate()
     {
         let expected = baseline(mode);
-        // An EndOfTime run polls each HIT exactly once (4 batches here), so its "late"
-        // crash comes at poll 3; the clocked modes poll per arrival event and go longer.
-        let late = if mode == ExecutionMode::EndOfTime {
-            3
-        } else {
-            9
-        };
-        for polls in [0, 2, late] {
+        for polls in [0, 2, 9] {
             let dir = temp_dir(&format!("matrix-{m}-{polls}"));
             let fleet = journaled(&dir);
             assert!(

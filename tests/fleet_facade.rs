@@ -89,21 +89,6 @@ fn facade_clocked_equals_hand_wired_run_clocked() {
 }
 
 #[test]
-fn facade_end_of_time_equals_hand_wired_run() {
-    let jobs = demo_jobs();
-    let run = facade(20, 0.85, &jobs)
-        .run(ExecutionMode::EndOfTime)
-        .unwrap();
-    let (mut platform, mut scheduler) = hand_wired(20, 0.85, &jobs);
-    let direct = scheduler.run(&mut platform).unwrap();
-    assert_eq!(
-        run.report().ignoring_wall_clock(),
-        direct.ignoring_wall_clock(),
-        "facade EndOfTime != hand-wired run"
-    );
-}
-
-#[test]
 fn facade_parallel_equals_hand_wired_run_parallel() {
     let jobs = demo_jobs();
     let run = facade(20, 0.85, &jobs)
@@ -208,21 +193,14 @@ proptest! {
         gold in 1u64..3,
         workers in 3usize..8,
         batch in 3usize..8,
-        clocked_coin in 0usize..2,
     ) {
         prop_assume!(workers <= pool_size);
-        let clocked = clocked_coin == 1;
         let jobs: Vec<(String, u64, u64, usize, usize)> = (0..job_count)
             .map(|i| (format!("job-{i}"), real, gold, workers, batch))
             .collect();
-        let mode = if clocked { ExecutionMode::Clocked } else { ExecutionMode::EndOfTime };
-        let run = facade(pool_size, 0.85, &jobs).run(mode).unwrap();
+        let run = facade(pool_size, 0.85, &jobs).run(ExecutionMode::Clocked).unwrap();
         let (mut platform, mut scheduler) = hand_wired(pool_size, 0.85, &jobs);
-        let direct = if clocked {
-            scheduler.run_clocked(&mut platform).unwrap()
-        } else {
-            scheduler.run(&mut platform).unwrap()
-        };
+        let direct = scheduler.run_clocked(&mut platform).unwrap();
         prop_assert_eq!(
             run.report().ignoring_wall_clock(),
             direct.ignoring_wall_clock()

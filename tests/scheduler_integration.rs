@@ -3,6 +3,9 @@
 //! accuracy registry (cross-job reuse of gold estimates).
 
 use cdas::core::economics::CostModel;
+use cdas::core::types::HitId;
+use cdas::crowd::hit::HitRequest;
+use cdas::crowd::platform::WorkerAnswer;
 use cdas::crowd::question::CrowdQuestion;
 use cdas::prelude::*;
 use cdas::workloads::it::images::SyntheticImage;
@@ -96,7 +99,7 @@ fn mixed_fleet_completes_all_jobs_against_one_pool() {
             .with_batch_size(10),
     );
 
-    let report = scheduler.run(&mut platform).unwrap();
+    let report = scheduler.run_clocked(&mut platform).unwrap();
     assert_eq!(report.jobs.len(), 3);
 
     // Every job resolved every one of its real (non-gold) questions.
@@ -148,7 +151,7 @@ fn concurrent_hits_never_share_a_worker_and_never_repeat_one() {
                 .with_batch_size(5),
         );
     }
-    let report = scheduler.run(&mut platform).unwrap();
+    let report = scheduler.run_clocked(&mut platform).unwrap();
 
     for a in &report.dispatches {
         // Within one HIT, a worker appears exactly once — so no worker ever answers
@@ -195,7 +198,7 @@ fn accuracy_learned_in_one_job_reweights_votes_in_another() {
         .with_batch_size(10),
     );
 
-    let report = scheduler.run(&mut platform).unwrap();
+    let report = scheduler.run_clocked(&mut platform).unwrap();
 
     // The student's verification registries are populated purely by estimates sampled in
     // the teacher's gold questions (samples > 0 proves gold sampling, which the student
@@ -250,7 +253,7 @@ fn priority_policy_orders_mixed_kinds() {
             .with_batch_size(6)
             .with_priority(10),
     );
-    let report = scheduler.run(&mut platform).unwrap();
+    let report = scheduler.run_clocked(&mut platform).unwrap();
     let last_urgent = report
         .dispatches
         .iter()
@@ -297,10 +300,68 @@ fn dispatch_digest(report: &FleetReport) -> u64 {
     hash
 }
 
+/// [`dispatch_digest`] extended, FNV-1a style, with what the run concluded batch by
+/// batch: each job's per-batch cost bits and every verdict (question, accepted label or
+/// none, answers used).
+fn outcome_digest(report: &FleetReport, scheduler: &JobScheduler) -> u64 {
+    let mut hash = dispatch_digest(report);
+    let mut mix = |bytes: &[u8]| {
+        for &byte in bytes {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for job in 0..scheduler.job_count() {
+        for (_, outcome) in scheduler.outcomes(JobId(job)) {
+            mix(&outcome.cost.to_bits().to_le_bytes());
+            for v in &outcome.verdicts {
+                mix(&v.question.0.to_le_bytes());
+                mix(v
+                    .verdict
+                    .label()
+                    .map_or(&[0xff][..], |l| l.as_str().as_bytes()));
+                mix(&(v.answers_used as u64).to_le_bytes());
+            }
+        }
+    }
+    hash
+}
+
+/// A platform adapter that cannot look ahead: `next_arrival` keeps the trait default
+/// (`None`), so `run_clocked` drains each HIT in one poll and every batch lives exactly
+/// one tick.
+struct NoLookahead(SimulatedPlatform);
+
+impl CrowdPlatform for NoLookahead {
+    fn publish(&mut self, request: HitRequest) -> HitId {
+        self.0.publish(request)
+    }
+    fn publish_to(&mut self, request: HitRequest, workers: &[WorkerId]) -> HitId {
+        self.0.publish_to(request, workers)
+    }
+    fn advance_time(&mut self, now: f64) {
+        self.0.advance_time(now);
+    }
+    fn poll(&mut self, hit: HitId, now: f64) -> Vec<WorkerAnswer> {
+        self.0.poll(hit, now)
+    }
+    fn cancel(&mut self, hit: HitId, now: f64) -> CancelReceipt {
+        self.0.cancel(hit, now)
+    }
+    fn total_cost(&self) -> f64 {
+        self.0.total_cost()
+    }
+}
+
 /// A contended fleet: 12 mixed jobs needing 3, 5 or 7 workers over a 20-worker pool with
-/// exponential latencies, so most jobs wait for leases most ticks, big leases are refused
-/// while small ones are granted, and ExpMax frees workers mid-flight.
-fn contended_fleet(policy: DispatchPolicy, clocked: bool) -> FleetReport {
+/// exponential latencies, so most jobs wait for leases most ticks and big leases are
+/// refused while small ones are granted. With `termination` set, it also frees workers
+/// mid-flight. `lookahead: false` runs it over [`NoLookahead`]. Returns the report and
+/// its [`outcome_digest`].
+fn contended_fleet(
+    policy: DispatchPolicy,
+    termination: Option<TerminationStrategy>,
+    lookahead: bool,
+) -> (FleetReport, u64) {
     let pool = WorkerPool::generate(&PoolConfig {
         latency: LatencyModel::Exponential { mean: 5.0 },
         ..PoolConfig::clean(20, 0.8, 31)
@@ -329,18 +390,20 @@ fn contended_fleet(policy: DispatchPolicy, clocked: bool) -> FleetReport {
         scheduler.submit(
             ScheduledJob::named(kind, format!("job-{j}"), questions)
                 .with_engine(EngineConfig {
-                    termination: Some(TerminationStrategy::ExpMax),
+                    termination,
                     ..fixed_engine(workers, domain)
                 })
                 .with_batch_size(4)
                 .with_priority((j % 4) as u8),
         );
     }
-    if clocked {
+    let report = if lookahead {
         scheduler.run_clocked(&mut platform).unwrap()
     } else {
-        scheduler.run(&mut platform).unwrap()
-    }
+        scheduler.run_clocked(&mut NoLookahead(platform)).unwrap()
+    };
+    let digest = outcome_digest(&report, &scheduler);
+    (report, digest)
 }
 
 #[test]
@@ -361,16 +424,27 @@ fn contended_dispatch_timeline_is_pinned_across_ledger_implementations() {
             10_364_239_235_209_052_430,
         ),
     ];
-    for (policy, clocked, expected) in pinned {
-        let report = contended_fleet(policy, clocked);
+    for (policy, lookahead, expected) in pinned {
+        let (report, _) = contended_fleet(policy, Some(TerminationStrategy::ExpMax), lookahead);
         assert!(
             report.jobs.iter().any(|j| j.ticks_waited > 0),
-            "{policy:?} clocked={clocked}: the fleet must contend for leases"
+            "{policy:?} lookahead={lookahead}: the fleet must contend for leases"
         );
         assert_eq!(
             dispatch_digest(&report),
             expected,
-            "{policy:?} clocked={clocked}: dispatch timeline drifted"
+            "{policy:?} lookahead={lookahead}: dispatch timeline drifted"
         );
     }
+}
+
+#[test]
+fn termination_free_fleet_without_lookahead_is_pinned() {
+    // Recorded with the end-of-time tick loop that `run_clocked` over a platform without
+    // look-ahead replaced: for jobs without online termination, the two make the same
+    // dispatches, verdicts and per-batch charges.
+    let (report, digest) = contended_fleet(DispatchPolicy::RoundRobin, None, false);
+    assert!(report.jobs.iter().any(|j| j.ticks_waited > 0));
+    assert_eq!(dispatch_digest(&report), 10_364_239_235_209_052_430);
+    assert_eq!(digest, 14_578_003_984_171_343_678);
 }

@@ -22,6 +22,7 @@ use std::path::PathBuf;
 use std::sync::Once;
 
 use cdas::crowd::failpoint::FAILPOINT_PANIC;
+use cdas::engine::service::manifest::epoch_dir;
 use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
 use proptest::prelude::*;
@@ -225,6 +226,45 @@ fn recovering_a_closed_service_is_a_clean_no_op_resume() {
         .iter()
         .all(|r| r.as_ref().is_some_and(|r| r.was_complete)));
     assert_eq!(recovered.events(), &clean.events[..]);
+}
+
+#[test]
+fn a_run_journal_write_kill_does_not_re_arm_on_recovery() {
+    // One epoch of two jobs; `fail_writes_after` kills its run journal's writer.
+    let run_one_epoch = |dir: &PathBuf, fail_writes_after: Option<u64>| {
+        let journal = JournalConfig {
+            fail_writes_after,
+            ..config().run_journal
+        };
+        let mut service = FleetService::open(dir, config().run_journal(journal)).unwrap();
+        let _ = service.submit(job("alpha", 4)).unwrap();
+        let _ = service.submit(job("beta", 3)).unwrap();
+        service.run_epoch().unwrap();
+    };
+    let full = temp_dir("write-kill-full");
+    run_one_epoch(&full, None);
+    let full_bytes: u64 = std::fs::read_dir(epoch_dir(&full, 0))
+        .unwrap()
+        .map(|entry| entry.unwrap().metadata().unwrap().len())
+        .sum();
+
+    let dir = temp_dir("write-kill");
+    run_one_epoch(&dir, Some(full_bytes / 2));
+    let (_, first) = FleetService::recover(&dir).unwrap();
+    let resumed = first.epoch_recoveries[0]
+        .as_ref()
+        .expect("the epoch had a run journal to resume");
+    assert!(!resumed.was_complete, "the write kill cut the trailer off");
+    // The first recovery finished the journal. The failpoint is not persisted in the
+    // manifest, so it did not cut the resumed journal again.
+    let (_, second) = FleetService::recover(&dir).unwrap();
+    let again = second.epoch_recoveries[0]
+        .as_ref()
+        .expect("the epoch still has its run journal");
+    assert!(
+        again.was_complete && !again.torn_tail,
+        "the recovered journal must be whole: {again:?}"
+    );
 }
 
 proptest! {
