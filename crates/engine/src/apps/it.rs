@@ -11,7 +11,7 @@ use cdas_workloads::it::images::SyntheticImage;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{CrowdsourcingEngine, EngineConfig, HitOutcome};
-use crate::metrics::{score_hits, AccuracyReport};
+use crate::metrics::{ratio, score_hits, AccuracyReport};
 
 /// Configuration of an IT run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,27 +94,21 @@ impl ImageTaggingApp {
     ) -> Result<ItRunReport> {
         let engine = CrowdsourcingEngine::new(self.config.engine.clone());
         let mut runs: Vec<(Vec<CrowdQuestion>, HitOutcome)> = Vec::new();
+        // Machine baseline over the same real (non-gold) images the crowd is scored on.
+        let (mut correct, mut total) = (0usize, 0usize);
         for chunk in images.chunks(self.config.batch_size.max(1)) {
             let questions = self.build_questions(chunk);
+            if let Some(tagger) = baseline {
+                for (img, _) in chunk.iter().zip(&questions).filter(|(_, q)| !q.is_gold) {
+                    correct += usize::from(tagger.annotate(img) == img.truth_label());
+                    total += 1;
+                }
+            }
             let outcome = engine.run_hit(platform, questions.clone())?;
             runs.push((questions, outcome));
         }
         let crowd = score_hits(runs.iter().map(|(q, o)| (q.as_slice(), o)));
-        let machine_accuracy = baseline.map(|tagger| {
-            let mut total = 0usize;
-            let mut correct = 0usize;
-            for img in images {
-                total += 1;
-                if tagger.annotate(img) == img.truth_label() {
-                    correct += 1;
-                }
-            }
-            if total == 0 {
-                0.0
-            } else {
-                correct as f64 / total as f64
-            }
-        });
+        let machine_accuracy = baseline.map(|_| ratio(correct, total));
         Ok(ItRunReport {
             crowd,
             machine_accuracy,
@@ -190,5 +184,40 @@ mod tests {
             report.crowd.accuracy
         );
         assert_eq!(report.hits, 4);
+    }
+
+    #[test]
+    fn machine_baseline_skips_the_gold_images() {
+        let mut tagger = AutoTagger::new();
+        tagger.train(&images(2, 10));
+        let app = ImageTaggingApp::new(ItConfig::default());
+        let test = images(3, 8);
+        let refs: Vec<&SyntheticImage> = test.iter().collect();
+        let report = app
+            .run(&mut platform(0.85, 7), &refs, Some(&tagger))
+            .unwrap();
+        // The real images of the batches the run built: the ones the crowd is scored on.
+        let real: Vec<&SyntheticImage> = refs
+            .chunks(app.config().batch_size)
+            .flat_map(|chunk| {
+                let questions = app.build_questions(chunk);
+                chunk
+                    .iter()
+                    .zip(questions)
+                    .filter(|(_, q)| !q.is_gold)
+                    .map(|(img, _)| *img)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(real.len(), report.crowd.questions);
+        assert!(real.len() < refs.len(), "some images were gold");
+        let correct = real
+            .iter()
+            .filter(|img| tagger.annotate(img) == img.truth_label())
+            .count();
+        assert_eq!(
+            report.machine_accuracy,
+            Some(correct as f64 / real.len() as f64)
+        );
     }
 }

@@ -15,7 +15,7 @@ use cdas_workloads::tsa::{sentiment_domain, Sentiment};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{CrowdsourcingEngine, EngineConfig, HitOutcome};
-use crate::metrics::{score_hits, AccuracyReport};
+use crate::metrics::{ratio, score_hits, AccuracyReport};
 
 /// Configuration of a TSA run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,29 +107,21 @@ impl TsaApp {
     ) -> Result<TsaRunReport> {
         let engine = CrowdsourcingEngine::new(self.config.engine.clone());
         let mut runs: Vec<(Vec<CrowdQuestion>, HitOutcome)> = Vec::new();
+        // Machine baseline over the same real (non-gold) questions the crowd is scored on.
+        let (mut correct, mut total) = (0usize, 0usize);
         for chunk in tweets.chunks(self.config.batch_size.max(1)) {
             let questions = self.build_questions(chunk);
+            if let Some(nb) = baseline {
+                for (t, _) in chunk.iter().zip(&questions).filter(|(_, q)| !q.is_gold) {
+                    correct += usize::from(nb.classify(&t.text) == t.sentiment);
+                    total += 1;
+                }
+            }
             let outcome = engine.run_hit(platform, questions.clone())?;
             runs.push((questions, outcome));
         }
         let crowd = score_hits(runs.iter().map(|(q, o)| (q.as_slice(), o)));
-
-        // Machine baseline accuracy over the same real questions.
-        let machine_accuracy = baseline.map(|nb| {
-            let mut total = 0usize;
-            let mut correct = 0usize;
-            for t in tweets {
-                total += 1;
-                if nb.classify(&t.text) == t.sentiment {
-                    correct += 1;
-                }
-            }
-            if total == 0 {
-                0.0
-            } else {
-                correct as f64 / total as f64
-            }
-        });
+        let machine_accuracy = baseline.map(|_| ratio(correct, total));
 
         // Presentation: percentages and reasons per sentiment (Figure 4).
         let mut presenter = ResultPresenter::new();
@@ -251,6 +243,39 @@ mod tests {
             report.crowd.accuracy >= machine - 0.05,
             "crowd {} vs machine {machine}",
             report.crowd.accuracy
+        );
+    }
+
+    #[test]
+    fn machine_baseline_skips_the_gold_tweets() {
+        let mut nb = NaiveBayesClassifier::new();
+        nb.train(&tweets(3, 300));
+        let app = TsaApp::new(TsaConfig::default());
+        let test = tweets(4, 60);
+        let refs: Vec<&Tweet> = test.iter().collect();
+        let report = app.run(&mut platform(0.85, 6), &refs, Some(&nb)).unwrap();
+        // The real tweets of the batches the run built: the ones the crowd is scored on.
+        let real: Vec<&Tweet> = refs
+            .chunks(app.config().batch_size)
+            .flat_map(|chunk| {
+                let questions = app.build_questions(chunk);
+                chunk
+                    .iter()
+                    .zip(questions)
+                    .filter(|(_, q)| !q.is_gold)
+                    .map(|(t, _)| *t)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(real.len(), report.crowd.questions);
+        assert!(real.len() < refs.len(), "some tweets were gold");
+        let correct = real
+            .iter()
+            .filter(|t| nb.classify(&t.text) == t.sentiment)
+            .count();
+        assert_eq!(
+            report.machine_accuracy,
+            Some(correct as f64 / real.len() as f64)
         );
     }
 }

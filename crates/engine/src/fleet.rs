@@ -14,8 +14,8 @@
 //!    typestate [`FleetBuilder`] (a fleet without a crowd does not compile, and
 //!    misconfigurations — empty crowd, zero workers, more shards than workers — are typed
 //!    [`CdasError`]s, not panics),
-//! 2. **submit [`JobSpec`]s** whose settings layer over the fleet's defaults
-//!    (fleet [`engine defaults`](FleetBuilder::engine_defaults) → per-job overrides), and
+//! 2. **submit [`JobSpec`]s**, each of which holds every setting of its job (the engine
+//!    defaults derive from the job's own query; its setters override them), and
 //! 3. **call [`Fleet::run`] with one [`ExecutionMode`]** — `Clocked` or
 //!    `Parallel { shards }` — which dispatches to the existing scheduler paths. Those
 //!    paths remain public as the advanced layer; the facade adds no second engine room.
@@ -66,8 +66,8 @@ use cdas_crowd::sharded::ShardedPlatform;
 use cdas_crowd::spec::CrowdSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{CrowdsourcingEngine, EngineConfig, VerificationStrategy, WorkerCountPolicy};
-use crate::job_manager::{AnalyticsJob, JobKind, ProcessingPlan};
+use crate::engine::{CrowdsourcingEngine, WorkerCountPolicy};
+use crate::job_manager::JobKind;
 use crate::journal::recovery::{JournalReplay, JournalSink, RecoveryObserver};
 use crate::journal::{Journal, JournalConfig, JournalRecord, RecoveryReport, RunConfig};
 use crate::metrics::FleetReport;
@@ -95,47 +95,23 @@ pub enum ExecutionMode {
     },
 }
 
-/// One analytics job as the facade accepts it: what to ask the crowd, plus *optional*
-/// overrides that layer over the fleet's defaults. Anything left unset falls through to
-/// the fleet ([`FleetBuilder::engine_defaults`] / [`FleetBuilder::batch_size`]) and from
-/// there to the engine defaults derived from the job's own query — the same derivation
-/// [`ScheduledJob::named`] has always used, so a facade job and a hand-wired job resolve
-/// to identical [`ScheduledJob`]s.
+/// One analytics job as the facade accepts it: the [`ScheduledJob`] the scheduler will
+/// run, plus the service-level deadline. Constructors start from
+/// [`ScheduledJob::named`], which derives the engine configuration from the job's own
+/// query, and every setter writes straight into that job. [`From<ScheduledJob>`] lifts a
+/// hand-wired job in unchanged — the route to full
+/// [`EngineConfig`](crate::engine::EngineConfig) control (a voting
+/// verification strategy, a [`JobManager`](crate::job_manager::JobManager) plan).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
-    kind: JobKind,
-    name: String,
-    questions: Vec<CrowdQuestion>,
-    analytics: Option<AnalyticsJob>,
-    priority: u8,
-    batch_size: Option<usize>,
-    engine: Option<EngineConfig>,
-    workers: Option<WorkerCountPolicy>,
-    verification: Option<VerificationStrategy>,
-    termination: Option<Option<TerminationStrategy>>,
-    required_accuracy: Option<f64>,
-    domain_size: Option<Option<usize>>,
+    job: ScheduledJob,
     deadline_minutes: Option<f64>,
 }
 
 impl JobSpec {
     /// A job of the given kind over pre-rendered crowd questions (gold flagged).
     pub fn new(kind: JobKind, name: impl Into<String>, questions: Vec<CrowdQuestion>) -> Self {
-        JobSpec {
-            kind,
-            name: name.into(),
-            questions,
-            analytics: None,
-            priority: 0,
-            batch_size: None,
-            engine: None,
-            workers: None,
-            verification: None,
-            termination: None,
-            required_accuracy: None,
-            domain_size: None,
-            deadline_minutes: None,
-        }
+        ScheduledJob::named(kind, name, questions).into()
     }
 
     /// A Twitter-sentiment job ([`JobKind::SentimentAnalytics`]).
@@ -148,88 +124,57 @@ impl JobSpec {
         Self::new(JobKind::ImageTagging, name, questions)
     }
 
-    /// A job derived from a registered [`AnalyticsJob`] and its §2.1 [`ProcessingPlan`]:
-    /// the engine configuration and batch size come from the plan, exactly as
-    /// [`crate::job_manager::JobManager::schedule`] derives them.
-    pub fn from_plan(
-        job: AnalyticsJob,
-        plan: &ProcessingPlan,
-        questions: Vec<CrowdQuestion>,
-    ) -> Self {
-        let mut spec = Self::new(job.kind, job.name.clone(), questions);
-        spec.engine = Some(plan.engine_config());
-        spec.batch_size = Some(plan.human.sampling.batch_size());
-        spec.analytics = Some(job);
-        spec
-    }
-
     /// Request a fixed worker count per HIT ([`WorkerCountPolicy::Fixed`]).
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(WorkerCountPolicy::Fixed(n));
-        self
+    pub fn workers(self, n: usize) -> Self {
+        self.worker_policy(WorkerCountPolicy::Fixed(n))
     }
 
     /// Request an explicit worker-count policy (e.g. the prediction model's `g(C)`).
     pub fn worker_policy(mut self, policy: WorkerCountPolicy) -> Self {
-        self.workers = Some(policy);
-        self
-    }
-
-    /// Override the verification strategy.
-    pub fn verification(mut self, verification: VerificationStrategy) -> Self {
-        self.verification = Some(verification);
+        self.job.engine.workers = policy;
         self
     }
 
     /// Enable online early termination with the given strategy.
     pub fn termination(mut self, termination: TerminationStrategy) -> Self {
-        self.termination = Some(Some(termination));
+        self.job.engine.termination = Some(termination);
         self
     }
 
-    /// Disable early termination (wait for all answers), even if the fleet's engine
-    /// defaults enable it.
+    /// Disable early termination (wait for all answers).
     pub fn no_termination(mut self) -> Self {
-        self.termination = Some(None);
+        self.job.engine.termination = None;
         self
     }
 
-    /// Override the user-required accuracy `C`.
+    /// Set the user-required accuracy `C`.
     pub fn required_accuracy(mut self, required: f64) -> Self {
-        self.required_accuracy = Some(required);
+        self.job.engine.required_accuracy = required;
         self
     }
 
     /// Fix the answer-domain size `m` (e.g. 3 for sentiment).
     pub fn domain_size(mut self, m: usize) -> Self {
-        self.domain_size = Some(Some(m));
+        self.job.engine.domain_size = Some(m);
         self
     }
 
     /// Estimate the answer-domain size per observation instead of fixing it.
     pub fn estimated_domain_size(mut self) -> Self {
-        self.domain_size = Some(None);
+        self.job.engine.domain_size = None;
         self
     }
 
-    /// Override the questions-per-HIT batch size `B`.
+    /// Set the questions-per-HIT batch size `B` (default 20).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = Some(batch_size);
+        self.job.batch_size = batch_size;
         self
     }
 
     /// Set the dispatch priority (higher drains first under
     /// [`DispatchPolicy::Priority`]).
     pub fn priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Replace the *whole* engine configuration. Field-level overrides
-    /// ([`workers`](Self::workers), [`termination`](Self::termination), …) still apply on
-    /// top of it.
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = Some(engine);
+        self.job.priority = priority;
         self
     }
 
@@ -250,88 +195,37 @@ impl JobSpec {
 
     /// The job's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.job.job.name
     }
 
     /// How many crowd questions (gold included) the job carries.
     pub fn question_count(&self) -> usize {
-        self.questions.len()
+        self.job.questions.len()
     }
 
-    /// Resolve the layered configuration into the [`ScheduledJob`] the scheduler runs:
-    /// job override → fleet default → the query-derived default.
-    fn resolve(&self, defaults: &FleetDefaults) -> Result<ScheduledJob> {
-        if self.questions.is_empty() {
+    /// The job the scheduler runs, once checked: a job without questions is
+    /// [`CdasError::EmptyJob`] and a zero batch size is [`CdasError::NonPositive`].
+    pub(crate) fn validated(&self) -> Result<&ScheduledJob> {
+        if self.job.questions.is_empty() {
             return Err(CdasError::EmptyJob {
-                name: self.name.clone(),
+                name: self.job.job.name.clone(),
             });
         }
-        let batch_size = self.batch_size.or(defaults.batch_size);
-        if batch_size == Some(0) {
+        if self.job.batch_size == 0 {
             return Err(CdasError::NonPositive { what: "batch size" });
         }
-        let mut scheduled = match &self.analytics {
-            Some(job) => ScheduledJob::new(job.clone(), self.questions.clone()),
-            None => ScheduledJob::named(self.kind, self.name.clone(), self.questions.clone()),
-        };
-        let mut engine = self
-            .engine
-            .clone()
-            .or_else(|| defaults.engine.clone())
-            .unwrap_or_else(|| scheduled.engine.clone());
-        if let Some(workers) = self.workers {
-            engine.workers = workers;
-        }
-        if let Some(verification) = self.verification {
-            engine.verification = verification;
-        }
-        if let Some(termination) = self.termination {
-            engine.termination = termination;
-        }
-        if let Some(required) = self.required_accuracy {
-            engine.required_accuracy = required;
-        }
-        if let Some(domain_size) = self.domain_size {
-            engine.domain_size = domain_size;
-        }
-        scheduled = scheduled.with_engine(engine).with_priority(self.priority);
-        if let Some(batch_size) = batch_size {
-            scheduled = scheduled.with_batch_size(batch_size);
-        }
-        Ok(scheduled)
-    }
-
-    /// Resolve against *empty* fleet defaults — the resolution a fleet without
-    /// [`FleetBuilder::engine_defaults`] / [`FleetBuilder::batch_size`] performs. The
-    /// service layer admits jobs before any fleet exists, so it predicts from exactly
-    /// the [`ScheduledJob`] a default-configured epoch fleet will run.
-    pub(crate) fn resolve_default(&self) -> Result<ScheduledJob> {
-        self.resolve(&FleetDefaults::default())
+        Ok(&self.job)
     }
 }
 
 impl From<ScheduledJob> for JobSpec {
-    /// Lift a hand-wired [`ScheduledJob`] into the facade unchanged: resolving the
-    /// returned spec reproduces the original job exactly, whatever the fleet defaults.
-    fn from(scheduled: ScheduledJob) -> Self {
-        let mut spec = Self::new(
-            scheduled.job.kind,
-            scheduled.job.name.clone(),
-            scheduled.questions,
-        );
-        spec.analytics = Some(scheduled.job);
-        spec.engine = Some(scheduled.engine);
-        spec.batch_size = Some(scheduled.batch_size);
-        spec.priority = scheduled.priority;
-        spec
+    /// Lift a hand-wired [`ScheduledJob`] into the facade unchanged.
+    fn from(job: ScheduledJob) -> Self {
+        JobSpec {
+            job,
+            deadline_minutes: None,
+        }
     }
-}
-
-/// Fleet-wide defaults a [`JobSpec`] falls back to when it does not override a setting.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct FleetDefaults {
-    engine: Option<EngineConfig>,
-    batch_size: Option<usize>,
 }
 
 /// Typestate marker: the builder has no crowd yet, so [`FleetBuilder::build`] does not
@@ -348,8 +242,6 @@ pub struct NeedsCrowd;
 pub struct FleetBuilder<Crowd = NeedsCrowd> {
     crowd: Crowd,
     scheduler: SchedulerConfig,
-    shards: usize,
-    defaults: FleetDefaults,
     jobs: Vec<JobSpec>,
     journal: Option<PathBuf>,
     journal_config: JournalConfig,
@@ -360,8 +252,6 @@ impl Default for FleetBuilder<NeedsCrowd> {
         FleetBuilder {
             crowd: NeedsCrowd,
             scheduler: SchedulerConfig::default(),
-            shards: 1,
-            defaults: FleetDefaults::default(),
             jobs: Vec::new(),
             journal: None,
             journal_config: JournalConfig::default(),
@@ -376,8 +266,6 @@ impl FleetBuilder<NeedsCrowd> {
         FleetBuilder {
             crowd: spec,
             scheduler: self.scheduler,
-            shards: self.shards,
-            defaults: self.defaults,
             jobs: self.jobs,
             journal: self.journal,
             journal_config: self.journal_config,
@@ -407,29 +295,6 @@ impl<Crowd> FleetBuilder<Crowd> {
     /// against; both produce bit-identical reports.
     pub fn arrival_discovery(mut self, discovery: ArrivalDiscovery) -> Self {
         self.scheduler.discovery = discovery;
-        self
-    }
-
-    /// Set the default shard count [`Fleet::run_parallel`] uses (default 1; validated
-    /// against the crowd at [`build`](FleetBuilder::build), and above 1 it tightens
-    /// [`Fleet::submit`]'s feasibility check to each job's shard roster).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Set the fleet-wide default [`EngineConfig`] jobs layer their overrides onto.
-    /// Without one, each job derives its engine defaults from its own query, exactly as
-    /// [`ScheduledJob::named`] does.
-    pub fn engine_defaults(mut self, engine: EngineConfig) -> Self {
-        self.defaults.engine = Some(engine);
-        self
-    }
-
-    /// Set the fleet-wide default batch size `B` (without one, jobs default to
-    /// [`ScheduledJob`]'s 20).
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.defaults.batch_size = Some(batch_size);
         self
     }
 
@@ -469,39 +334,26 @@ impl FleetBuilder<CrowdSpec> {
     /// Validate the configuration and assemble the [`Fleet`].
     ///
     /// Misconfigurations come back as typed errors instead of panics or silent
-    /// misbehaviour later: a crowd with no workers is [`CdasError::EmptyFleet`], an
-    /// unservable shard count is [`CdasError::InvalidShardCount`], a job without
-    /// questions is [`CdasError::EmptyJob`], a zero batch size or zero worker count is
-    /// [`CdasError::NonPositive`], and a job demanding more workers than the crowd holds
-    /// is [`CdasError::PoolExhausted`].
+    /// misbehaviour later: a crowd with no workers is [`CdasError::EmptyFleet`], a job
+    /// without questions is [`CdasError::EmptyJob`], a zero batch size or zero worker
+    /// count is [`CdasError::NonPositive`], and a job demanding more workers than the
+    /// crowd holds is [`CdasError::PoolExhausted`].
     pub fn build(self) -> Result<Fleet> {
-        let workers = self.crowd.worker_count();
-        if workers == 0 {
+        if self.crowd.worker_count() == 0 {
             return Err(CdasError::EmptyFleet);
         }
-        validate_shards(self.shards, workers)?;
-        let fleet = Fleet {
+        let mut fleet = Fleet {
             crowd: self.crowd,
             scheduler: self.scheduler,
-            shards: self.shards,
-            defaults: self.defaults,
             jobs: Vec::new(),
             journal: self.journal,
             journal_config: self.journal_config,
         };
-        let mut fleet = fleet;
         for job in self.jobs {
             fleet.submit(job)?;
         }
         Ok(fleet)
     }
-}
-
-fn validate_shards(shards: usize, workers: usize) -> Result<()> {
-    if shards == 0 || shards > workers {
-        return Err(CdasError::InvalidShardCount { shards, workers });
-    }
-    Ok(())
 }
 
 /// The assembled fleet: one crowd, one scheduler configuration, N jobs, and a single
@@ -510,8 +362,6 @@ fn validate_shards(shards: usize, workers: usize) -> Result<()> {
 pub struct Fleet {
     crowd: CrowdSpec,
     scheduler: SchedulerConfig,
-    shards: usize,
-    defaults: FleetDefaults,
     jobs: Vec<JobSpec>,
     journal: Option<PathBuf>,
     journal_config: JournalConfig,
@@ -568,27 +418,15 @@ impl Fleet {
         FleetBuilder::default()
     }
 
-    /// Submit a job, validating it eagerly: its layered configuration is resolved now,
-    /// so an empty question list, a zero batch size, a zero worker count or a demand the
-    /// crowd can never satisfy is rejected here as a typed [`CdasError`] rather than
-    /// surfacing mid-run. With a default shard count above 1 ([`FleetBuilder::shards`]),
-    /// the demand is checked against the *shard* this job would be striped onto — a
-    /// fleet that would only fail inside [`run_parallel`](Self::run_parallel) is
-    /// rejected up front. (A run-time [`ExecutionMode::Parallel`] override with a
-    /// different shard count is re-checked by the scheduler before anything dispatches.)
+    /// Submit a job, validating it eagerly: an empty question list, a zero batch size, a
+    /// zero worker count or a demand the whole crowd can never satisfy is rejected here
+    /// as a typed [`CdasError`] rather than surfacing mid-run. Under
+    /// [`ExecutionMode::Parallel`] the demand is checked again, against the shard each
+    /// job is striped onto, by the scheduler before anything dispatches.
     pub fn submit(&mut self, job: JobSpec) -> Result<JobId> {
-        let scheduled = job.resolve(&self.defaults)?;
-        let needed = CrowdsourcingEngine::new(scheduled.engine).decide_workers()?;
-        let workers = self.crowd.worker_count();
-        // The shard this job lands on under `run_parallel` striping (job j → shard
-        // j % n) and its round-robin partition size (worker i → shard i % n).
-        let shard = self.jobs.len() % self.shards;
-        let shard_roster = workers / self.shards + usize::from(shard < workers % self.shards);
-        let available = if self.shards > 1 {
-            shard_roster
-        } else {
-            workers
-        };
+        let scheduled = job.validated()?;
+        let needed = CrowdsourcingEngine::new(scheduled.engine.clone()).decide_workers()?;
+        let available = self.crowd.worker_count();
         if needed > available {
             return Err(CdasError::PoolExhausted { needed, available });
         }
@@ -609,11 +447,6 @@ impl Fleet {
     /// The submitted job specs, in [`JobId`] order.
     pub fn jobs(&self) -> &[JobSpec] {
         &self.jobs
-    }
-
-    /// The default shard count [`run_parallel`](Self::run_parallel) uses.
-    pub fn default_shards(&self) -> usize {
-        self.shards
     }
 
     /// Run every submitted job to completion under the given [`ExecutionMode`].
@@ -683,29 +516,20 @@ impl Fleet {
             crowd: self.crowd.clone(),
             scheduler: self.scheduler,
             mode,
-            jobs: self.resolved_jobs()?,
+            jobs: self.scheduled_jobs(),
         })
     }
 
     /// Rebuild a fleet from a journaled [`RunConfig`] (the inverse of
-    /// [`run_config`](Self::run_config)): resolved jobs lift back into the facade via
-    /// [`JobSpec::from`], so re-resolving them reproduces the original run's jobs
-    /// exactly.
+    /// [`run_config`](Self::run_config)): the journaled jobs lift back into the facade
+    /// unchanged via [`JobSpec::from`].
     pub fn from_run_config(config: RunConfig) -> Result<Fleet> {
-        let workers = config.crowd.worker_count();
-        if workers == 0 {
+        if config.crowd.worker_count() == 0 {
             return Err(CdasError::EmptyFleet);
         }
-        let shards = match config.mode {
-            ExecutionMode::Parallel { shards } => shards,
-            _ => 1,
-        };
-        validate_shards(shards, workers)?;
         let mut fleet = Fleet {
             crowd: config.crowd,
             scheduler: config.scheduler,
-            shards,
-            defaults: FleetDefaults::default(),
             jobs: Vec::new(),
             journal: None,
             journal_config: JournalConfig::default(),
@@ -769,11 +593,8 @@ impl Fleet {
         ))
     }
 
-    fn resolved_jobs(&self) -> Result<Vec<ScheduledJob>> {
-        self.jobs
-            .iter()
-            .map(|job| job.resolve(&self.defaults))
-            .collect()
+    fn scheduled_jobs(&self) -> Vec<ScheduledJob> {
+        self.jobs.iter().map(|spec| spec.job.clone()).collect()
     }
 
     /// The engine room shared by [`run_with_failpoints`](Self::run_with_failpoints) and
@@ -786,7 +607,7 @@ impl Fleet {
         observer: Option<Arc<dyn RunObserver>>,
     ) -> Result<(FleetReport, f64, Vec<FleetEvent>)> {
         let mut scheduler = JobScheduler::new(self.scheduler, self.crowd.build_ledger());
-        for job in self.resolved_jobs()? {
+        for job in self.scheduled_jobs() {
             scheduler.submit(job);
         }
         if let Some(observer) = observer {
@@ -801,7 +622,10 @@ impl Fleet {
                 (report, cost)
             }
             ExecutionMode::Parallel { shards } => {
-                validate_shards(shards, self.crowd.worker_count())?;
+                let workers = self.crowd.worker_count();
+                if shards == 0 || shards > workers {
+                    return Err(CdasError::InvalidShardCount { shards, workers });
+                }
                 let mut platform = ShardedPlatform::from_parts(
                     self.crowd
                         .build_sharded(shards)
@@ -823,14 +647,6 @@ impl Fleet {
         };
         let events = stream_events(&report, &scheduler);
         Ok((report, platform_cost, events))
-    }
-
-    /// [`run`](Self::run) under [`ExecutionMode::Parallel`] with the builder's default
-    /// shard count ([`FleetBuilder::shards`]).
-    pub fn run_parallel(&self) -> Result<FleetRun> {
-        self.run(ExecutionMode::Parallel {
-            shards: self.shards,
-        })
     }
 }
 
@@ -1070,7 +886,7 @@ mod tests {
     }
 
     fn demo_fleet() -> Fleet {
-        let mut fleet = Fleet::builder().crowd(spec()).shards(2).build().unwrap();
+        let mut fleet = Fleet::builder().crowd(spec()).build().unwrap();
         for name in ["a", "b"] {
             fleet
                 .submit(
@@ -1093,9 +909,9 @@ mod tests {
         assert_eq!(run.verdicts().count(), 0);
     }
 
-    // The build()/submit()-time misuse matrix (empty crowd, bad shard counts, empty
-    // job, batch 0, workers 0) is pinned once, at the prelude surface, in
-    // `tests/fleet_facade.rs`. The cases below are the ones only unit scope can reach.
+    // The misuse matrix (empty crowd, empty job, batch 0 and workers 0 at build() or
+    // submit(), bad shard counts at run()) is pinned once, at the prelude surface, in
+    // `tests/fleet_facade.rs`.
 
     #[test]
     fn run_time_shard_override_is_validated() {
@@ -1107,8 +923,8 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_demand_is_rejected_at_submit() {
-        // Against the whole crowd…
+    fn infeasible_demand_is_rejected_before_dispatch() {
+        // Against the whole crowd, at submit…
         let mut fleet = Fleet::builder().crowd(spec()).build().unwrap();
         match fleet.submit(JobSpec::sentiment("wide", demo_questions(4, 1)).workers(40)) {
             Err(CdasError::PoolExhausted {
@@ -1118,20 +934,20 @@ mod tests {
             other => panic!("expected PoolExhausted, got {other:?}"),
         }
         assert_eq!(fleet.job_count(), 0, "no failed submission was kept");
-        // …and against the job's shard when the fleet defaults to parallel striping: a
-        // 7-worker job fits the 16-worker crowd but not its 4-worker shard, so it must
-        // be rejected here, not mid-`run_parallel`.
-        let mut sharded = Fleet::builder().crowd(spec()).shards(4).build().unwrap();
-        match sharded.submit(JobSpec::sentiment("wide", demo_questions(4, 1)).workers(7)) {
+        // …and against the job's shard at run time: a 7-worker job fits the 16-worker
+        // crowd but not its 4-worker shard, so a 4-shard run refuses it before anything
+        // dispatches.
+        fleet
+            .submit(JobSpec::sentiment("wide", demo_questions(4, 1)).workers(7))
+            .unwrap();
+        match fleet.run(ExecutionMode::Parallel { shards: 4 }) {
             Err(CdasError::PoolExhausted {
                 needed: 7,
                 available: 4,
             }) => {}
             other => panic!("expected per-shard PoolExhausted, got {other:?}"),
         }
-        sharded
-            .submit(JobSpec::sentiment("fits", demo_questions(4, 1)).workers(4))
-            .unwrap();
+        fleet.run(ExecutionMode::Parallel { shards: 2 }).unwrap();
     }
 
     #[test]
@@ -1263,54 +1079,13 @@ mod tests {
     }
 
     #[test]
-    fn layered_defaults_fleet_then_job() {
-        // Fleet default: 5 workers, ExpMax termination. Job b overrides the worker count.
-        let mut fleet = Fleet::builder()
-            .crowd(spec())
-            .engine_defaults(EngineConfig {
-                workers: WorkerCountPolicy::Fixed(5),
-                termination: Some(TerminationStrategy::ExpMax),
-                domain_size: Some(3),
-                ..EngineConfig::default()
-            })
-            .batch_size(4)
-            .build()
-            .unwrap();
-        fleet
-            .submit(JobSpec::sentiment("default", demo_questions(4, 1)))
-            .unwrap();
-        fleet
-            .submit(
-                JobSpec::sentiment("override", demo_questions(4, 1))
-                    .workers(7)
-                    .no_termination(),
-            )
-            .unwrap();
-        let a = fleet.jobs()[0].resolve(&fleet.defaults).unwrap();
-        let b = fleet.jobs()[1].resolve(&fleet.defaults).unwrap();
-        assert_eq!(a.engine.workers, WorkerCountPolicy::Fixed(5));
-        assert_eq!(a.engine.termination, Some(TerminationStrategy::ExpMax));
-        assert_eq!(a.batch_size, 4, "fleet default batch size");
-        assert_eq!(b.engine.workers, WorkerCountPolicy::Fixed(7));
-        assert_eq!(b.engine.termination, None, "job override wins");
-    }
-
-    #[test]
     fn scheduled_job_round_trips_through_the_facade() {
         let scheduled =
             ScheduledJob::named(JobKind::ImageTagging, "round-trip", demo_questions(6, 2))
                 .with_batch_size(3)
                 .with_priority(4);
         let spec = JobSpec::from(scheduled.clone());
-        // Whatever the fleet defaults say, a lifted ScheduledJob resolves to itself.
-        let defaults = FleetDefaults {
-            engine: Some(EngineConfig {
-                workers: WorkerCountPolicy::Fixed(13),
-                ..EngineConfig::default()
-            }),
-            batch_size: Some(11),
-        };
-        assert_eq!(spec.resolve(&defaults).unwrap(), scheduled);
+        assert_eq!(spec.validated().unwrap(), &scheduled);
     }
 
     #[test]

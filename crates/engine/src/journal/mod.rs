@@ -44,9 +44,13 @@ use std::path::{Path, PathBuf};
 use cdas_core::codec::BinCodec;
 use cdas_core::{CdasError, Result};
 
-/// Magic + format version prefix of every segment file.
-const SEGMENT_MAGIC: &[u8; 8] = b"CDASWAL1";
-/// Segment header: magic followed by the segment's `u64` index.
+/// Magic that opens every segment file, followed by [`FORMAT_VERSION`].
+const SEGMENT_MAGIC: &[u8; 7] = b"CDASWAL";
+/// The journal format version (one ASCII digit) this build reads and writes. Bump it
+/// whenever a record encoding changes, so an older journal is refused by name instead
+/// of failing to decode.
+const FORMAT_VERSION: u8 = b'2';
+/// Segment header: magic, format version, then the segment's `u64` index.
 const SEGMENT_HEADER_LEN: u64 = 16;
 /// Frame header: `u32` payload length + `u32` CRC-32 of the payload.
 const FRAME_HEADER_LEN: u64 = 8;
@@ -141,8 +145,6 @@ pub enum SyncPolicy {
     /// chatty dispatch/charge records ride along with the next commit's sync.
     #[default]
     Commits,
-    /// Fsync after every record (slowest, smallest possible torn tail).
-    Always,
     /// Group commit in the LogBase style: commit-class records are batched and one
     /// fsync covers the whole group. The sync fires once `max_batch` commit-class
     /// records are pending, or once `max_delay_ms` of wall-clock time has passed since
@@ -290,8 +292,22 @@ fn scan_segment(path: &Path, is_last: bool) -> Result<SegmentScan> {
             format!("segment shorter ({}) than its header", bytes.len()),
         ));
     }
-    if bytes.get(..8) != Some(SEGMENT_MAGIC.as_slice()) {
-        return Err(corrupt(0, "bad segment magic".to_string()));
+    match (
+        bytes.get(..SEGMENT_MAGIC.len()),
+        bytes.get(SEGMENT_MAGIC.len()),
+    ) {
+        (Some(magic), Some(&FORMAT_VERSION)) if magic == SEGMENT_MAGIC => {}
+        (Some(magic), Some(&version)) if magic == SEGMENT_MAGIC => {
+            return Err(corrupt(
+                0,
+                format!(
+                    "journal format version {} is not supported (this build reads version {})",
+                    char::from(version),
+                    char::from(FORMAT_VERSION)
+                ),
+            ));
+        }
+        _ => return Err(corrupt(0, "bad segment magic".to_string())),
     }
     let mut records = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN as usize;
@@ -528,7 +544,6 @@ impl Journal {
             self.flush_buffer()?;
         }
         match self.config.sync {
-            SyncPolicy::Always => self.sync()?,
             SyncPolicy::Commits if commit_class => self.sync()?,
             SyncPolicy::GroupCommit {
                 max_batch,
@@ -715,6 +730,7 @@ impl Journal {
     fn write_header(&mut self) -> Result<()> {
         let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
         header.extend_from_slice(SEGMENT_MAGIC);
+        header.push(FORMAT_VERSION);
         header.extend_from_slice(&self.segment_index.to_le_bytes());
         self.buffer_bytes(&header);
         Ok(())

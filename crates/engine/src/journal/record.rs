@@ -718,7 +718,6 @@ impl BinCodec for SyncPolicy {
         match self {
             SyncPolicy::Never => out.push(0),
             SyncPolicy::Commits => out.push(1),
-            SyncPolicy::Always => out.push(2),
             SyncPolicy::GroupCommit {
                 max_batch,
                 max_delay_ms,
@@ -734,7 +733,6 @@ impl BinCodec for SyncPolicy {
         match u8::decode(input)? {
             0 => Ok(SyncPolicy::Never),
             1 => Ok(SyncPolicy::Commits),
-            2 => Ok(SyncPolicy::Always),
             3 => Ok(SyncPolicy::GroupCommit {
                 max_batch: usize::decode(input)?,
                 max_delay_ms: u64::decode(input)?,
@@ -1057,6 +1055,12 @@ mod tests {
     }
 
     #[test]
+    fn sync_policy_tag_2_is_rejected() {
+        let error = SyncPolicy::from_bytes(&[2]).expect_err("tag 2 has no policy");
+        assert_eq!(error.detail, "invalid SyncPolicy tag 2");
+    }
+
+    #[test]
     fn engine_config_round_trips_all_variants() {
         round_trip(EngineConfig::default());
         let mut registry = AccuracyRegistry::new();
@@ -1140,7 +1144,6 @@ mod tests {
         for policy in [
             SyncPolicy::Never,
             SyncPolicy::Commits,
-            SyncPolicy::Always,
             SyncPolicy::GroupCommit {
                 max_batch: 8,
                 max_delay_ms: 50,

@@ -259,7 +259,8 @@ impl FleetReport {
     }
 }
 
-fn ratio(num: usize, den: usize) -> f64 {
+/// `num / den`, 0 for an empty denominator.
+pub(crate) fn ratio(num: usize, den: usize) -> f64 {
     if den == 0 {
         0.0
     } else {

@@ -361,13 +361,13 @@ impl FleetService {
             .map(|budget| budget - self.spent - self.committed_cost())
     }
 
-    /// Submit a job. The submission is resolved and forecast *now*, journaled with
+    /// Submit a job. The submission is validated and forecast *now*, journaled with
     /// its verdict (append-before-mutate: the manifest record lands before any state
     /// changes), and the verdict streams back as [`ServiceEvent::Submitted`]. A
     /// policy rejection still mints (and journals) a ticket — [`Rejected::Policy`]
     /// carries it — so the accounting survives recovery.
     pub fn submit(&mut self, spec: JobSpec) -> std::result::Result<JobTicket, Rejected> {
-        let scheduled = spec.resolve_default().map_err(Rejected::Invalid)?;
+        let scheduled = spec.validated().map_err(Rejected::Invalid)?.clone();
         let deadline = spec.deadline();
         let idle = self
             .model
@@ -486,13 +486,12 @@ impl FleetService {
     /// Build the fleet one epoch runs: the service crowd and scheduler config, the
     /// epoch's jobs in ticket order, and a write-ahead run journal in the epoch's
     /// own directory.
-    fn build_epoch_fleet(&self, tickets: &[u64], shards: usize, epoch: u64) -> Result<Fleet> {
+    fn build_epoch_fleet(&self, tickets: &[u64], epoch: u64) -> Result<Fleet> {
         let mut builder = Fleet::builder()
             .crowd(self.config.crowd.clone())
             .policy(self.config.scheduler.policy)
             .scheduler_seed(self.config.scheduler.seed)
             .arrival_discovery(self.config.scheduler.discovery)
-            .shards(shards)
             .journal(epoch_dir(&self.dir, epoch))
             .journal_config(self.config.run_journal.clone());
         for &t in tickets {
@@ -546,7 +545,7 @@ impl FleetService {
         })?;
         self.begin_epoch(epoch, &tickets, mode);
         let run = self
-            .build_epoch_fleet(&tickets, shards, epoch)?
+            .build_epoch_fleet(&tickets, epoch)?
             .run_with_failpoints(mode, failpoints)?;
         let report = run.report().clone();
         let events = run.events().to_vec();
@@ -768,11 +767,7 @@ impl FleetService {
             match Fleet::recover_with_config(&dir, self.config.run_journal.clone()) {
                 Ok((run, recovery)) => (run, Some(recovery)),
                 Err(CdasError::JournalEmpty) | Err(CdasError::JournalIo { .. }) => {
-                    let shards = match mode {
-                        ExecutionMode::Parallel { shards } => shards,
-                        _ => 1,
-                    };
-                    let fleet = self.build_epoch_fleet(tickets, shards, epoch)?;
+                    let fleet = self.build_epoch_fleet(tickets, epoch)?;
                     (fleet.run(mode)?, None)
                 }
                 Err(e) => return Err(e),

@@ -19,17 +19,16 @@ const SEED: u64 = 2012;
 /// The two-job fleet over a 9-worker, 90 %-accuracy crowd whose completion times are
 /// exponential (mean 5 min), with or without early termination.
 fn fleet(termination: Option<TerminationStrategy>) -> Fleet {
-    let mut builder = Fleet::builder()
-        .crowd(
-            CrowdSpec::clean(9, 0.9)
-                .seed(SEED)
-                .latency(LatencyModel::Exponential { mean: 5.0 }),
-        )
-        .batch_size(9);
+    let mut builder = Fleet::builder().crowd(
+        CrowdSpec::clean(9, 0.9)
+            .seed(SEED)
+            .latency(LatencyModel::Exponential { mean: 5.0 }),
+    );
     for name in ["first-job", "second-job"] {
         let mut job = JobSpec::sentiment(name, demo_questions(6, 3))
             .workers(7)
-            .domain_size(3);
+            .domain_size(3)
+            .batch_size(9);
         job = match termination {
             Some(strategy) => job.termination(strategy),
             None => job.no_termination(),

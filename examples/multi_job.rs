@@ -42,22 +42,24 @@ fn main() {
     let fleet = Fleet::builder()
         .crowd(CrowdSpec::clean(16, 0.8).seed(7))
         .policy(DispatchPolicy::Priority)
-        .batch_size(10)
         .job(
             JobSpec::sentiment("thor-sentiment", tsa_questions("Thor", 1, 30))
                 .workers(7)
                 .domain_size(3)
+                .batch_size(10)
                 .priority(10), // the urgent job: drains first under Priority dispatch
         )
         .job(
             JobSpec::sentiment("hulk-sentiment", tsa_questions("Hulk", 2, 30))
                 .workers(7)
-                .domain_size(3),
+                .domain_size(3)
+                .batch_size(10),
         )
         .job(
             JobSpec::tagging("tiger-tags", it_questions("tiger", 3, 20))
                 .workers(5)
-                .estimated_domain_size(),
+                .estimated_domain_size()
+                .batch_size(10),
         )
         .build()
         .expect("a well-formed fleet");

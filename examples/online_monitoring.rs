@@ -22,11 +22,11 @@ fn main() {
                 .seed(7)
                 .latency(LatencyModel::Exponential { mean: 5.0 }),
         )
-        .batch_size(6)
         .jobs(["alpha", "beta"].map(|name| {
             JobSpec::sentiment(name, demo_questions(12, 3))
                 .workers(7)
                 .domain_size(3)
+                .batch_size(6)
                 .termination(TerminationStrategy::ExpMax)
         }))
         .build()

@@ -19,19 +19,17 @@ const SEED: u64 = 2024;
 const JOBS: usize = 8;
 
 fn fleet() -> Fleet {
-    let mut builder = Fleet::builder()
-        .crowd(
-            CrowdSpec::clean(32, 0.85)
-                .seed(SEED)
-                .latency(LatencyModel::Exponential { mean: 5.0 }),
-        )
-        .shards(4)
-        .batch_size(7);
+    let mut builder = Fleet::builder().crowd(
+        CrowdSpec::clean(32, 0.85)
+            .seed(SEED)
+            .latency(LatencyModel::Exponential { mean: 5.0 }),
+    );
     for i in 0..JOBS {
         builder = builder.job(
             JobSpec::sentiment(format!("job-{i}"), demo_questions(24, 4))
                 .workers(7)
-                .domain_size(3),
+                .domain_size(3)
+                .batch_size(7),
         );
     }
     builder.build().expect("a well-formed fleet")
@@ -84,9 +82,10 @@ fn main() {
     );
 
     // Four shards, four OS threads: each owns 8 workers and 2 jobs. The fleet finishes
-    // as fast as its slowest shard instead of the sum of all of them. `run_parallel()`
-    // picks up the builder's `.shards(4)` default.
-    let four = fleet.run_parallel().expect("4-shard run");
+    // as fast as its slowest shard instead of the sum of all of them.
+    let four = fleet
+        .run(ExecutionMode::Parallel { shards: 4 })
+        .expect("4-shard run");
     print_run("run(Parallel { shards: 4 })", four.report());
 
     assert_eq!(

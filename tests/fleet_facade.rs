@@ -115,20 +115,16 @@ fn builder_misuse_returns_typed_errors_not_panics() {
         Err(CdasError::EmptyFleet) => {}
         other => panic!("empty crowd: expected EmptyFleet, got {other:?}"),
     }
+    let mut fleet = Fleet::builder().crowd(crowd(20, 0.8)).build().unwrap();
     // shards == 0 and shards > pool size.
     for shards in [0usize, 21] {
-        match Fleet::builder()
-            .crowd(crowd(20, 0.8))
-            .shards(shards)
-            .build()
-        {
+        match fleet.run(ExecutionMode::Parallel { shards }) {
             Err(CdasError::InvalidShardCount { shards: s, workers }) => {
                 assert_eq!((s, workers), (shards, 20));
             }
             other => panic!("shards {shards}: expected InvalidShardCount, got {other:?}"),
         }
     }
-    let mut fleet = Fleet::builder().crowd(crowd(20, 0.8)).build().unwrap();
     // Job with zero questions.
     match fleet.submit(JobSpec::sentiment("none", Vec::new())) {
         Err(CdasError::EmptyJob { name }) => assert_eq!(name, "none"),

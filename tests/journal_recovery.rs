@@ -183,6 +183,32 @@ fn corruption_away_from_the_tail_is_rejected() {
 }
 
 #[test]
+fn journal_of_an_older_format_version_is_refused_by_name() {
+    let dir = temp_dir("old-version");
+    journaled(&dir, JournalConfig::default())
+        .run(ExecutionMode::Clocked)
+        .unwrap();
+    // Rewrite the first segment's header to the version-1 magic, as a journal written
+    // by an older build would carry.
+    let segment = dir.join("segment-000000.wal");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    bytes[..8].copy_from_slice(b"CDASWAL1");
+    std::fs::write(&segment, bytes).unwrap();
+    let expect_version_1 = |result: Result<(), CdasError>, context: &str| match result {
+        Err(CdasError::JournalCorrupt { offset, detail, .. }) => {
+            assert_eq!(offset, 0, "{context}");
+            assert!(
+                detail.contains("version 1") && detail.contains("version 2"),
+                "{context}: detail must name both versions: {detail}"
+            );
+        }
+        other => panic!("{context}: expected JournalCorrupt, got {other:?}"),
+    };
+    expect_version_1(Journal::read(&dir).map(drop), "read");
+    expect_version_1(Fleet::recover(&dir).map(drop), "recover");
+}
+
+#[test]
 fn recovery_from_snapshot_plus_partial_tail() {
     let mode = ExecutionMode::Clocked;
     let expected = baseline(mode);
