@@ -85,8 +85,8 @@ impl ShardedPlatform<SimulatedPlatform> {
     /// Split one simulated crowd into `shards` independent platforms.
     ///
     /// The pool is partitioned round-robin (disjoint and covering; sizes within one
-    /// worker of each other), shard `i` is seeded `seed + i` and mints HIT ids in the
-    /// arithmetic class `i (mod shards)`. `split(pool, cost, seed, 1)` produces a single
+    /// worker of each other), shard `i` is seeded `seed + i` (wrapping) and mints HIT ids
+    /// in the arithmetic class `i (mod shards)`. `split(pool, cost, seed, 1)` produces a single
     /// shard whose platform behaves bit-identically to
     /// `SimulatedPlatform::new(pool.clone(), cost, seed)`.
     pub fn split(pool: &WorkerPool, cost_model: CostModel, seed: u64, shards: usize) -> Self {
@@ -98,8 +98,9 @@ impl ShardedPlatform<SimulatedPlatform> {
                 .enumerate()
                 .map(|(i, sub_pool)| {
                     let roster = sub_pool.workers().iter().map(|w| w.id).collect();
-                    let platform = SimulatedPlatform::new(sub_pool, cost_model, seed + i as u64)
-                        .with_hit_namespace(i as u64, shards as u64);
+                    let platform =
+                        SimulatedPlatform::new(sub_pool, cost_model, seed.wrapping_add(i as u64))
+                            .with_hit_namespace(i as u64, shards as u64);
                     PlatformShard { platform, roster }
                 })
                 .collect(),

@@ -394,7 +394,7 @@ impl FleetFailpoints {
 
     /// Arm a failpoint on one specific shard of a [`ExecutionMode::Parallel`] run —
     /// that shard's thread dies mid-run (the kill -9 drill) while the others finish
-    /// their polls. Under the single-platform modes only shard 0 exists, so a failpoint
+    /// their polls. Under [`ExecutionMode::Clocked`] only shard 0 exists, so a failpoint
     /// armed on any other shard never fires.
     pub fn on_shard(shard: usize, failpoint: Failpoint) -> Self {
         FleetFailpoints {

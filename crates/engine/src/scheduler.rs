@@ -30,9 +30,10 @@
 //! ([`CrowdPlatform::next_arrival`] returns `None`) every batch drains in one poll, so
 //! batches live exactly one tick.
 //! [`JobScheduler::run_parallel`] is the scale-out variant: it stripes the jobs across
-//! the shards of a [`ShardedPlatform`] and runs one clocked event loop **per OS thread**,
-//! sharing only the lock-striped [`SharedAccuracyRegistry`] — `run_clocked` is the
-//! one-shard special case of the same code path, and the report gains per-shard rollups
+//! the shards of a [`ShardedPlatform`] and runs the same clocked event loop **per OS
+//! thread**, each over a private copy of the [`SharedAccuracyRegistry`] that is merged
+//! back after the join — `run_clocked` is that loop over one shard holding every job,
+//! and the parallel report gains per-shard rollups
 //! ([`crate::metrics::ShardReport`]) and a
 //! [`parallel-speedup stat`](crate::metrics::FleetReport::parallel_speedup).
 //!
@@ -267,9 +268,8 @@ pub struct BatchCommit {
 /// per-poll charge (incremental spend in clocked runs), and batch commit (outcome made
 /// part of run state). The write-ahead journal is the canonical implementation.
 ///
-/// In parallel runs each shard's sub-scheduler reports through a relabeling shim, so
-/// observers always see **global** job ids; calls from different shard threads may
-/// interleave, but per-job call order is deterministic.
+/// Every call names its job by the fleet-global [`JobId`]. In parallel runs, calls from
+/// different shard threads may interleave, but per-job call order is deterministic.
 pub trait RunObserver: Send + Sync {
     /// A batch was published: workers leased, HIT live on the platform.
     fn on_dispatch(&self, dispatch: &DispatchRecord) {
@@ -288,48 +288,16 @@ pub trait RunObserver: Send + Sync {
     }
 }
 
-/// Relabels a shard-local sub-scheduler's observer calls with global job ids before
-/// forwarding to the fleet-level observer.
-struct ShardRelabel {
-    inner: Arc<dyn RunObserver>,
-    /// `global[local_job_index]` = the job's index in the parent scheduler.
-    global: Vec<usize>,
-}
-
-impl ShardRelabel {
-    /// Shard-local job id → fleet-global job id. The table is built from the same
-    /// striping that numbered the locals, so an unmapped id passes through unchanged
-    /// rather than panicking the observer callback inside a shard thread.
-    fn relabel(&self, job: JobId) -> JobId {
-        self.global.get(job.0).copied().map_or(job, JobId)
-    }
-}
-
-impl RunObserver for ShardRelabel {
-    fn on_dispatch(&self, dispatch: &DispatchRecord) {
-        let mut relabeled = dispatch.clone();
-        relabeled.job = self.relabel(relabeled.job);
-        self.inner.on_dispatch(&relabeled);
-    }
-
-    fn on_charge(&self, job: JobId, hit: HitId, amount: f64, at: f64) {
-        self.inner.on_charge(self.relabel(job), hit, amount, at);
-    }
-
-    fn on_commit(&self, commit: &BatchCommit) {
-        let mut relabeled = commit.clone();
-        relabeled.job = self.relabel(relabeled.job);
-        self.inner.on_commit(&relabeled);
-    }
-}
-
 /// A batch in flight. It lives across ticks: the lease guard is held for exactly as long
 /// as the HIT is genuinely running and drops the moment the batch completes — naturally,
 /// by mid-flight cancellation, or because an error (or panic) tore the run down — so
 /// other jobs can lease the freed workers while slower HITs are still out, and no
 /// failure mode strands workers.
 struct ClockedInflight {
-    job: usize,
+    /// The job's position in its shard's job list.
+    slot: usize,
+    /// The job's fleet-global id, for observer calls.
+    job: JobId,
     range: std::ops::Range<usize>,
     collector: ClockedCollector,
     /// RAII guard: dropping the `ClockedInflight` returns the workers to the ledger.
@@ -348,6 +316,8 @@ struct ShardSeed {
 }
 
 struct JobState {
+    /// The job's fleet-global id (its submission index).
+    id: JobId,
     spec: ScheduledJob,
     engine: CrowdsourcingEngine,
     cursor: usize,
@@ -368,6 +338,38 @@ impl JobState {
     fn finished(&self) -> bool {
         self.cursor >= self.spec.questions.len()
     }
+
+    /// Up-front feasibility against the roster the job will lease from: a zero batch
+    /// size never advances the job, and a demand above `roster_len` waits forever.
+    fn check_feasible(&self, roster_len: usize) -> Result<()> {
+        if self.spec.batch_size == 0 {
+            return Err(CdasError::NonPositive { what: "batch size" });
+        }
+        let needed = self.engine.decide_workers()?;
+        if needed > roster_len {
+            return Err(CdasError::PoolExhausted {
+                needed,
+                available: roster_len,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// One shard of a run: the clocked event loop over a slice of the scheduler's jobs,
+/// borrowed in place, leasing from one table with one dispatch RNG and verifying
+/// through one accuracy cache. [`JobScheduler::run_clocked`] drives a single shard over
+/// every job with the scheduler's own ledger, cache and RNG;
+/// [`JobScheduler::run_parallel`] drives one per thread.
+struct Shard<'a> {
+    jobs: Vec<&'a mut JobState>,
+    ledger: &'a PoolLedger,
+    /// Only read; held `&mut` because the cache's counters are `Cell`s, so a shard can
+    /// move to its thread (`&mut` needs `Send`, `&` would need `Sync`).
+    cache: &'a mut AccuracyCache,
+    rng: &'a mut StdRng,
+    observer: Option<&'a dyn RunObserver>,
+    config: SchedulerConfig,
 }
 
 /// The multi-job scheduler: submit N jobs, then [`run_clocked`](Self::run_clocked) them to
@@ -443,8 +445,10 @@ impl JobScheduler {
     /// assert_eq!(scheduler.job_count(), 2);
     /// ```
     pub fn submit(&mut self, spec: ScheduledJob) -> JobId {
+        let id = JobId(self.jobs.len());
         let engine = CrowdsourcingEngine::new(spec.engine.clone());
         self.jobs.push(JobState {
+            id,
             spec,
             engine,
             cursor: 0,
@@ -457,7 +461,7 @@ impl JobScheduler {
             reclaimed_minutes: 0.0,
             answers_cancelled: 0,
         });
-        JobId(self.jobs.len() - 1)
+        id
     }
 
     /// Number of submitted jobs.
@@ -485,29 +489,6 @@ impl JobScheduler {
                     .collect()
             })
             .unwrap_or_default()
-    }
-
-    /// Dispatch order for tick `tick` (1-based): the job indices rotated left by
-    /// `tick - 1`, stable-sorted by descending priority under [`DispatchPolicy::Priority`]
-    /// so rotation still breaks ties fairly. Round-robin positions are index arithmetic;
-    /// only the priority policy materializes the order, into `sorted` — a buffer the
-    /// caller reuses across ticks, left empty under round-robin. The iterator borrows
-    /// `sorted`, not the scheduler, so the caller can dispatch while walking it.
-    fn dispatch_order<'a>(
-        &self,
-        tick: usize,
-        sorted: &'a mut Vec<usize>,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let n = self.jobs.len();
-        let rotated = move |k: usize| (tick - 1 + k) % n;
-        sorted.clear();
-        if self.config.policy == DispatchPolicy::Priority {
-            sorted.extend((0..n).map(rotated));
-            let priority = |i: usize| self.jobs.get(i).map(|j| j.spec.priority).unwrap_or(0);
-            sorted.sort_by_key(|&i| std::cmp::Reverse(priority(i)));
-        }
-        let sorted = &*sorted;
-        (0..n).map(move |k| sorted.get(k).copied().unwrap_or_else(|| rotated(k)))
     }
 
     /// Run every submitted job to completion under **simulated time**: a discrete-event
@@ -552,27 +533,20 @@ impl JobScheduler {
     /// assert_eq!(report.fleet.questions, 8);
     /// ```
     pub fn run_clocked<P: CrowdPlatform>(&mut self, platform: &mut P) -> Result<FleetReport> {
-        // cdas-allow(determinism): wall-clock telemetry only feeds `wall_seconds`, which report equality ignores
-        let started = Instant::now();
-        self.check_feasibility(self.ledger.roster_len())?;
-        let mut clock = SimClock::new();
-        let mut dispatches: Vec<DispatchRecord> = Vec::new();
-        let mut inflight: Vec<ClockedInflight> = Vec::new();
-        let result = self.clocked_loop(platform, &mut clock, &mut dispatches, &mut inflight);
-        if result.is_err() {
-            // Error teardown: the platform must stop charging for HITs nobody will ever
-            // collect. The cancel is idempotent by the trait contract, so a batch whose
-            // collector already cancelled (the error came *after* its cancel) is a no-op
-            // here rather than a double refund. The lease guards release on drop.
-            for batch in inflight.drain(..) {
-                // The run is already failing; the teardown receipts have no
-                // report to land in and are deliberately discarded.
-                let _ = platform.cancel(batch.collector.hit(), clock.now());
-            }
+        let roster_len = self.ledger.roster_len();
+        for state in &self.jobs {
+            state.check_feasible(roster_len)?;
         }
-        let ticks = result?;
-        let seed = self.seed_shard(ticks, clock.now(), started.elapsed().as_secs_f64());
-        Ok(self.report(ticks, dispatches, clock.now(), vec![seed]))
+        let shard = Shard {
+            jobs: self.jobs.iter_mut().collect(),
+            ledger: &self.ledger,
+            cache: &mut self.cache,
+            rng: &mut self.rng,
+            observer: self.observer.as_deref(),
+            config: self.config,
+        };
+        let (seed, dispatches) = shard.run(0, platform)?;
+        Ok(self.report(dispatches, vec![seed]))
     }
 
     /// Run the fleet **in parallel across OS threads**, one thread per shard of a
@@ -580,23 +554,21 @@ impl JobScheduler {
     ///
     /// Jobs are striped over shards round-robin by submission index (job `j` runs on
     /// shard `j % shards`), mirroring the round-robin worker partition of
-    /// [`ShardedPlatform::split`]. Each thread owns its platform shard, a sub-scheduler
-    /// over the shard's slice of this scheduler's roster, and runs **the same clocked
-    /// event loop as [`run_clocked`](Self::run_clocked)** — the sequential path is
-    /// literally the one-shard special case of this one, and a 1-shard `run_parallel`
-    /// produces a byte-identical report (up to host wall-clock timings; see
-    /// [`FleetReport::ignoring_wall_clock`]).
+    /// [`ShardedPlatform::split`]. Each thread owns its platform shard and runs **the
+    /// same clocked event loop as [`run_clocked`](Self::run_clocked)** over its jobs,
+    /// borrowed in place — the sequential path is the one-shard special case of this
+    /// one, and a 1-shard `run_parallel` produces a byte-identical report (up to host
+    /// wall-clock timings; see [`FleetReport::ignoring_wall_clock`]).
     ///
-    /// What is shared and what is not:
-    ///
-    /// * **shared** — the [`SharedAccuracyRegistry`]: its lock-striped buckets let every
-    ///   shard absorb gold estimates and read fleet-wide accuracies concurrently, so a
-    ///   worker's accuracy learned on shard A still reweights nothing on shard B *for
-    ///   that worker* (workers are partitioned), but population means and carried-over
-    ///   registries are fleet-wide, exactly as in a sequential run;
-    /// * **per shard** — the platform, the worker partition, the lease table, the
-    ///   [`SimClock`] (shards are independent simulated timelines; the fleet `makespan`
-    ///   is their maximum), and the dispatch RNG (seeded `config.seed + shard`).
+    /// Shards share nothing while they run. Each has its own platform, worker partition,
+    /// lease table, [`SimClock`] (the fleet `makespan` is their maximum), dispatch RNG
+    /// (seeded `config.seed + shard`, wrapping) and accuracy registry, seeded from one
+    /// snapshot of the fleet's [`SharedAccuracyRegistry`] taken before any thread starts.
+    /// A live shared registry would make the simulation depend on host timing: a
+    /// late-starting job's population mean reads fleet-wide estimates, so whether another
+    /// shard's gold scores had landed yet would move its termination bounds. After every
+    /// thread joined, each shard's new estimates are adopted into the fleet registry in
+    /// shard order, so the run is a pure function of its inputs.
     ///
     /// The shard lease tables are derived from this scheduler's ledger **when the call
     /// starts**: workers already checked out through another handle of that ledger are
@@ -604,11 +576,12 @@ impl JobScheduler {
     /// taken mid-run are not observed — hand the parallel scheduler a quiescent ledger.
     ///
     /// Leases are RAII guards, so a shard thread that errors — or panics — releases its
-    /// workers while unwinding; a panic is resurfaced after every other shard joined
-    /// *and every job state was reassembled* (partial progress included), so a caller
-    /// that catches it still holds a scheduler whose [`outcomes`](Self::outcomes) are
-    /// inspectable. An error aborts the fleet with the first failing shard's error after
-    /// all shards finished and every in-flight HIT of the failing shard was cancelled.
+    /// workers while unwinding. A panic is resurfaced after every other shard joined and
+    /// every shard's estimates were merged; job states never leave the scheduler, so a
+    /// caller that catches it can still inspect [`outcomes`](Self::outcomes) (partial
+    /// progress included). An error aborts the fleet with the first failing shard's error
+    /// after all shards finished and every in-flight HIT of the failing shard was
+    /// cancelled.
     ///
     /// The returned [`FleetReport`] carries one [`ShardReport`] per thread
     /// (`report.shards`) and [`FleetReport::parallel_speedup`] summarizes what the
@@ -647,152 +620,87 @@ impl JobScheduler {
         &mut self,
         platform: &mut ShardedPlatform<P>,
     ) -> Result<FleetReport> {
-        let shard_count = platform.shard_count();
-        if shard_count == 0 {
-            // No shards can serve no jobs; anything else is exhaustion by definition.
-            self.check_feasibility(0)?;
-            return Ok(self.report(0, Vec::new(), 0.0, Vec::new()));
-        }
-
         // Each shard's slice of this scheduler's roster, in the parent ledger's
         // checkout-priority order (so a 1-way shard leases exactly like the parent).
         // Workers already checked out through another handle of the parent ledger at
         // this moment are excluded outright — the shard ledgers are independent tables,
-        // so this is the only point where an outstanding external lease can be honoured
-        // (a lease taken through the parent *during* the parallel run is not observed,
-        // unlike in `run_clocked`, which leases from the parent tick by tick).
+        // so this is the only point where an outstanding external lease can be honoured.
         let parent_roster = self.ledger.roster();
-        let rosters: Vec<Vec<WorkerId>> = platform
+        let ledgers: Vec<PoolLedger> = platform
             .shards()
             .iter()
             .map(|shard| {
                 let members: BTreeSet<WorkerId> = shard.roster().iter().copied().collect();
-                parent_roster
-                    .iter()
-                    .copied()
-                    .filter(|w| members.contains(w) && !self.ledger.is_leased(*w))
-                    .collect()
-            })
-            .collect();
-
-        // Feasibility against the shard each job will actually run on.
-        for (j, state) in self.jobs.iter().enumerate() {
-            let needed = state.engine.decide_workers()?;
-            let available = rosters.get(j % shard_count).map_or(0, Vec::len);
-            if needed > available {
-                return Err(CdasError::PoolExhausted { needed, available });
-            }
-        }
-
-        // Build one sub-scheduler per shard and stripe the job states across them
-        // (shard `s` owns jobs `s, s+n, s+2n, …`). The states are *moved*, not copied —
-        // the threads do the real work on the real jobs, and the parent reassembles them
-        // afterwards so `outcomes()` keeps working.
-        //
-        // Each shard runs over its OWN registry, seeded from one pre-spawn snapshot of
-        // the fleet registry, instead of writing into the live shared one. A live
-        // registry would make the *simulation* host-timing dependent: a late-starting
-        // job's population mean (`ClockedCollector::running_mean`) reads fleet-wide
-        // estimates, so whether another shard's gold scores have landed yet would move
-        // termination bounds. Isolation makes a multi-shard run a pure function of its
-        // inputs; the shards' learnings are merged back deterministically after the
-        // join below.
-        let shared = self.cache.shared().clone();
-        let seed_registry = shared.snapshot();
-        let mut global: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        let mut subs: Vec<JobScheduler> = rosters
-            .iter()
-            .enumerate()
-            .map(|(s, roster)| {
-                JobScheduler::with_shared_registry(
-                    SchedulerConfig {
-                        seed: self.config.seed + s as u64,
-                        ..self.config
-                    },
-                    PoolLedger::new(roster.iter().copied()),
-                    SharedAccuracyRegistry::with_registry(seed_registry.clone()),
+                PoolLedger::new(
+                    parent_roster
+                        .iter()
+                        .copied()
+                        .filter(|w| members.contains(w) && !self.ledger.is_leased(*w)),
                 )
             })
             .collect();
-        let total_jobs = self.jobs.len();
-        for (j, state) in std::mem::take(&mut self.jobs).into_iter().enumerate() {
-            // `j % shard_count` is in range by construction; the striping tables and
-            // the sub-schedulers were both built with `shard_count` entries above.
-            if let Some(ids) = global.get_mut(j % shard_count) {
-                ids.push(j);
-            }
-            if let Some(sub) = subs.get_mut(j % shard_count) {
-                sub.jobs.push(state);
-            }
+        let shard_count = ledgers.len();
+        let shard_of = |j: usize| j.checked_rem(shard_count);
+
+        // Feasibility against the shard each job will actually run on, before any
+        // thread starts.
+        for (j, state) in self.jobs.iter().enumerate() {
+            let available = shard_of(j)
+                .and_then(|s| ledgers.get(s))
+                .map_or(0, PoolLedger::roster_len);
+            state.check_feasible(available)?;
         }
-        if let Some(observer) = &self.observer {
-            // Each shard reports through a relabeling shim so the fleet-level observer
-            // (the journal) always sees global job ids. Calls from different shard
-            // threads interleave, but per-job order stays deterministic — which is all
-            // recovery matches on.
-            for (s, sub) in subs.iter_mut().enumerate() {
-                sub.observer = Some(Arc::new(ShardRelabel {
-                    inner: Arc::clone(observer),
-                    global: global.get(s).cloned().unwrap_or_default(),
-                }));
+
+        let shared = self.cache.shared().clone();
+        let seed_registry = shared.snapshot();
+        let (mut caches, mut rngs): (Vec<AccuracyCache>, Vec<StdRng>) = (0..shard_count)
+            .map(|s| {
+                let registry = SharedAccuracyRegistry::with_registry(seed_registry.clone());
+                let rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(s as u64));
+                (AccuracyCache::new(registry), rng)
+            })
+            .unzip();
+        let mut shards: Vec<Shard<'_>> = ledgers
+            .iter()
+            .zip(caches.iter_mut())
+            .zip(rngs.iter_mut())
+            .map(|((ledger, cache), rng)| Shard {
+                jobs: Vec::new(),
+                ledger,
+                cache,
+                rng,
+                observer: self.observer.as_deref(),
+                config: self.config,
+            })
+            .collect();
+        for (j, state) in self.jobs.iter_mut().enumerate() {
+            if let Some(shard) = shard_of(j).and_then(|s| shards.get_mut(s)) {
+                shard.jobs.push(state);
             }
         }
 
-        // One OS thread per shard, each running the same clocked event loop the
-        // sequential path runs. A panic inside a shard's run is caught *in the thread*
-        // so the sub-scheduler — and with it the job states — survives the unwind (the
-        // RAII lease guards release during it); the payload is re-raised from the parent
-        // only after every shard joined and every job state was reassembled, so a caller
-        // that catches the panic still holds a scheduler with all its jobs.
-        type ShardJoin = (std::thread::Result<Result<FleetReport>>, JobScheduler);
-        let outcomes: Vec<ShardJoin> = std::thread::scope(|scope| {
-            let handles: Vec<_> = platform
-                .shards_mut()
-                .iter_mut()
-                .zip(subs.drain(..))
-                .map(|(shard, mut sub)| {
-                    scope.spawn(move || {
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            sub.run_clocked(shard.platform_mut())
-                        }));
-                        (run, sub)
-                    })
-                })
-                .collect();
-            handles
+        let runs: Vec<std::thread::Result<_>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
                 .into_iter()
-                .map(|handle| {
-                    handle
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
+                .zip(platform.shards_mut())
+                .enumerate()
+                .map(|(s, (shard, part))| scope.spawn(move || shard.run(s, part.platform_mut())))
+                .collect();
+            handles.into_iter().map(|handle| handle.join()).collect()
         });
 
-        // Merge: reassemble job states in submission order (also on error, so partial
-        // outcomes stay inspectable), remap shard-local job ids to global ones, and fold
-        // the shard timelines together.
-        let mut slots: Vec<Option<JobState>> = (0..total_jobs).map(|_| None).collect();
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut first_error: Option<CdasError> = None;
-        let mut merged_dispatches: Vec<DispatchRecord> = Vec::new();
-        let mut shard_seeds: Vec<ShardSeed> = Vec::new();
-        let mut ticks = 0usize;
-        let mut makespan = 0.0f64;
-        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-        for (s, (result, sub)) in outcomes.into_iter().enumerate() {
-            cache_hits += sub.cache.hits();
-            cache_misses += sub.cache.misses();
-            // Merge the shard's learnings back into the fleet registry, in shard order:
-            // adopt (overwrite, not pool — the shard's entry already contains the seed's
-            // history) every entry that differs from the pre-spawn snapshot. Shard
-            // rosters are disjoint, so no two shards contend for a sampled entry; the
-            // only possible overlap is identical injected oracle estimates, where
-            // adopting in shard order is deterministic. This also covers a panicked
-            // shard — whatever it learned before unwinding is preserved, like the live
-            // registry used to.
+        // Merge, in shard order and for panicked shards too: adopt (overwrite, not pool —
+        // the shard's entry already contains the seed's history) every entry that
+        // differs from the pre-spawn snapshot. Shard rosters are disjoint, so no two
+        // shards contend for a sampled entry; the only possible overlap is identical
+        // injected oracle estimates, where adopting in shard order is deterministic.
+        let mut first_panic = None;
+        let mut first_error = None;
+        let mut seeds: Vec<ShardSeed> = Vec::new();
+        let mut dispatches: Vec<DispatchRecord> = Vec::new();
+        for (cache, run) in caches.iter().zip(runs) {
             let mut delta = AccuracyRegistry::new();
-            for (&worker, entry) in sub.cache.shared().snapshot().iter() {
+            for (&worker, entry) in cache.shared().snapshot().iter() {
                 let unchanged = seed_registry.get(worker).is_some_and(|seed| {
                     seed.accuracy.to_bits() == entry.accuracy.to_bits()
                         && seed.samples == entry.samples
@@ -802,73 +710,14 @@ impl JobScheduler {
                 }
             }
             shared.adopt(&delta);
-            for (local, state) in sub.jobs.into_iter().enumerate() {
-                // A failed lookup leaves the slot empty; the hole check below turns
-                // that into `SchedulerStalled` instead of a panic mid-merge.
-                let target = global.get(s).and_then(|ids| ids.get(local)).copied();
-                if let Some(slot) = target.and_then(|g| slots.get_mut(g)) {
-                    *slot = Some(state);
+            match run {
+                Err(payload) => first_panic = first_panic.or(Some(payload)),
+                Ok(Err(e)) => first_error = first_error.or(Some(e)),
+                Ok(Ok((seed, shard_dispatches))) => {
+                    seeds.push(seed);
+                    dispatches.extend(shard_dispatches);
                 }
             }
-            let result = match result {
-                Ok(result) => result,
-                Err(payload) => {
-                    first_panic = first_panic.or(Some(payload));
-                    continue;
-                }
-            };
-            match result {
-                Ok(shard_report) => {
-                    let (sub_ticks, sub_makespan) = (shard_report.ticks, shard_report.makespan);
-                    ticks += sub_ticks;
-                    makespan = makespan.max(sub_makespan);
-                    merged_dispatches.extend(shard_report.dispatches.into_iter().map(
-                        |mut dispatch| {
-                            let mapped = global.get(s).and_then(|ids| ids.get(dispatch.job.0));
-                            if let Some(&g) = mapped {
-                                dispatch.job = JobId(g);
-                            }
-                            dispatch
-                        },
-                    ));
-                    // A sequential sub-run reports exactly one shard rollup;
-                    // if that invariant ever breaks, fall back to the sub-run
-                    // totals instead of panicking the merge (only the
-                    // wall-clock split is unknowable then).
-                    let rollup = shard_report.shards.into_iter().next();
-                    shard_seeds.push(ShardSeed {
-                        shard: s,
-                        jobs: global
-                            .get(s)
-                            .into_iter()
-                            .flatten()
-                            .copied()
-                            .map(JobId)
-                            .collect(),
-                        ticks: rollup.as_ref().map_or(sub_ticks, |r| r.ticks),
-                        makespan: rollup.as_ref().map_or(sub_makespan, |r| r.makespan),
-                        wall_seconds: rollup.as_ref().map_or(0.0, |r| r.wall_seconds),
-                    });
-                }
-                Err(e) => first_error = first_error.or(Some(e)),
-            }
-        }
-        // Reassemble job states in submission order. Every slot is filled even
-        // when a shard panicked (the sub-scheduler survives the unwind and
-        // hands its jobs back above); a hole would mean the striping logic
-        // itself broke, which surfaces as an error rather than a panic so the
-        // caller still gets a scheduler with the states that did return.
-        let mut jobs = Vec::with_capacity(total_jobs);
-        let mut missing = 0usize;
-        for state in slots {
-            match state {
-                Some(state) => jobs.push(state),
-                None => missing += 1,
-            }
-        }
-        self.jobs = jobs;
-        if missing > 0 {
-            first_error = first_error.or(Some(CdasError::SchedulerStalled { ticks }));
         }
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
@@ -878,14 +727,151 @@ impl JobScheduler {
         }
         // Shard timelines are independent; a stable sort by simulated time gives one
         // fleet-wide timeline (and leaves a 1-shard run's order untouched).
-        merged_dispatches.sort_by(|a, b| a.at.total_cmp(&b.at));
-        let mut report = self.report(ticks, merged_dispatches, makespan, shard_seeds);
-        report.cache_hits = cache_hits;
-        report.cache_misses = cache_misses;
+        dispatches.sort_by(|a, b| a.at.total_cmp(&b.at));
+        let mut report = self.report(dispatches, seeds);
+        report.cache_hits = caches.iter().map(AccuracyCache::hits).sum();
+        report.cache_misses = caches.iter().map(AccuracyCache::misses).sum();
         Ok(report)
     }
 
-    /// The discrete-event loop of [`run_clocked`](Self::run_clocked). On error, in-flight
+    /// Assemble the fleet report from completed job states. Shards are independent
+    /// simulated timelines: the fleet's ticks are their sum, its makespan their maximum.
+    fn report(&self, dispatches: Vec<DispatchRecord>, shards: Vec<ShardSeed>) -> FleetReport {
+        let ticks = shards.iter().map(|seed| seed.ticks).sum();
+        let makespan = shards.iter().map(|seed| seed.makespan).fold(0.0, f64::max);
+        let jobs: Vec<JobReport> = self
+            .jobs
+            .iter()
+            .map(|state| JobReport {
+                job: state.id,
+                name: state.spec.job.name.clone(),
+                kind: state.spec.job.kind,
+                priority: state.spec.priority,
+                report: score_hits(
+                    state
+                        .runs
+                        .iter()
+                        .map(|(r, o)| (state.spec.questions.get(r.clone()).unwrap_or(&[]), o)),
+                ),
+                hits: state.runs.len(),
+                ticks_waited: state.ticks_waited,
+                distinct_workers: state.workers_seen.len(),
+                time_to_first_verdict: state.first_verdict_at,
+                completed_at: state.completed_at,
+                reclaimed_minutes: state.reclaimed_minutes,
+                answers_cancelled: state.answers_cancelled,
+            })
+            .collect();
+        let fleet = score_hits(self.jobs.iter().flat_map(|s| {
+            s.runs
+                .iter()
+                .map(|(r, o)| (s.spec.questions.get(r.clone()).unwrap_or(&[]), o))
+        }));
+        let shards = shards
+            .into_iter()
+            .map(|seed| {
+                let mut questions = 0usize;
+                let mut cost = 0.0f64;
+                let mut reclaimed_minutes = 0.0f64;
+                let mut answers_cancelled = 0usize;
+                for id in &seed.jobs {
+                    // Shard seeds only carry ids of jobs in this scheduler.
+                    let Some(job) = jobs.get(id.0) else {
+                        continue;
+                    };
+                    questions += job.report.questions;
+                    cost += job.report.cost;
+                    reclaimed_minutes += job.reclaimed_minutes;
+                    answers_cancelled += job.answers_cancelled;
+                }
+                ShardReport {
+                    shard: seed.shard,
+                    jobs: seed.jobs,
+                    ticks: seed.ticks,
+                    makespan: seed.makespan,
+                    questions,
+                    cost,
+                    reclaimed_minutes,
+                    answers_cancelled,
+                    wall_seconds: seed.wall_seconds,
+                }
+            })
+            .collect();
+        FleetReport {
+            jobs,
+            fleet,
+            shards,
+            ticks,
+            makespan,
+            reclaimed_minutes: self.jobs.iter().map(|s| s.reclaimed_minutes).sum(),
+            answers_cancelled: self.jobs.iter().map(|s| s.answers_cancelled).sum(),
+            dispatches,
+            registry_size: self.cache.shared().len(),
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
+        }
+    }
+}
+
+impl Shard<'_> {
+    /// Dispatch order for tick `tick` (1-based): the job indices rotated left by
+    /// `tick - 1`, stable-sorted by descending priority under [`DispatchPolicy::Priority`]
+    /// so rotation still breaks ties fairly. Round-robin positions are index arithmetic;
+    /// only the priority policy materializes the order, into `sorted` — a buffer the
+    /// caller reuses across ticks, left empty under round-robin. The iterator borrows
+    /// `sorted`, not the scheduler, so the caller can dispatch while walking it.
+    fn dispatch_order<'a>(
+        &self,
+        tick: usize,
+        sorted: &'a mut Vec<usize>,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let n = self.jobs.len();
+        let rotated = move |k: usize| (tick - 1 + k) % n;
+        sorted.clear();
+        if self.config.policy == DispatchPolicy::Priority {
+            sorted.extend((0..n).map(rotated));
+            let priority = |i: usize| self.jobs.get(i).map(|j| j.spec.priority).unwrap_or(0);
+            sorted.sort_by_key(|&i| std::cmp::Reverse(priority(i)));
+        }
+        let sorted = &*sorted;
+        (0..n).map(move |k| sorted.get(k).copied().unwrap_or_else(|| rotated(k)))
+    }
+
+    /// Run the shard's jobs to completion on `platform` as shard number `shard`. On
+    /// error, every in-flight HIT is cancelled before the error returns: the platform
+    /// must stop charging for HITs nobody will ever collect. The cancel is idempotent by
+    /// the trait contract, so a batch whose collector already cancelled (the error came
+    /// *after* its cancel) is a no-op rather than a double refund. The lease guards
+    /// release on drop, on the error and the panic path alike.
+    fn run<P: CrowdPlatform>(
+        mut self,
+        shard: usize,
+        platform: &mut P,
+    ) -> Result<(ShardSeed, Vec<DispatchRecord>)> {
+        // cdas-allow(determinism): wall-clock telemetry only feeds `wall_seconds`, which report equality ignores
+        let started = Instant::now();
+        let mut clock = SimClock::new();
+        let mut dispatches: Vec<DispatchRecord> = Vec::new();
+        let mut inflight: Vec<ClockedInflight> = Vec::new();
+        let result = self.clocked_loop(platform, &mut clock, &mut dispatches, &mut inflight);
+        if result.is_err() {
+            for batch in inflight.drain(..) {
+                // The run is already failing; the teardown receipts have no
+                // report to land in and are deliberately discarded.
+                let _ = platform.cancel(batch.collector.hit(), clock.now());
+            }
+        }
+        let seed = ShardSeed {
+            shard,
+            jobs: self.jobs.iter().map(|j| j.id).collect(),
+            ticks: result?,
+            makespan: clock.now(),
+            wall_seconds: started.elapsed().as_secs_f64(),
+        };
+        Ok((seed, dispatches))
+    }
+
+    /// The discrete-event loop of [`run`](Self::run). On error, in-flight
     /// batches stay in `inflight` for the caller to cancel (their leases release on
     /// drop).
     ///
@@ -980,7 +966,8 @@ impl JobScheduler {
                     let collector = state.engine.begin_clocked(ticket, clock.now());
                     let hit = collector.hit();
                     inflight.push(ClockedInflight {
-                        job: idx,
+                        slot: idx,
+                        job: state.id,
                         range,
                         collector,
                         _lease: lease,
@@ -1063,8 +1050,8 @@ impl JobScheduler {
                 let charged = platform.total_cost() - cost_before;
                 entry.collector.record_charge(charged);
                 if charged != 0.0 {
-                    if let Some(observer) = &self.observer {
-                        observer.on_charge(JobId(entry.job), hit, charged, poll_at);
+                    if let Some(observer) = self.observer {
+                        observer.on_charge(entry.job, hit, charged, poll_at);
                     }
                 }
                 if poll_at.is_infinite() {
@@ -1078,7 +1065,7 @@ impl JobScheduler {
                 let terminated =
                     entry
                         .collector
-                        .ingest(&answers, clock.now(), Some(&self.cache))?;
+                        .ingest(&answers, clock.now(), Some(&*self.cache))?;
                 let exhausted = platform.next_arrival(hit).is_none();
                 if !(terminated || exhausted) {
                     if heap_mode {
@@ -1106,10 +1093,10 @@ impl JobScheduler {
                 // the ledger — on the success and the `?` path alike.
                 let clocked = batch
                     .collector
-                    .finalize(clock.now(), receipt, Some(&self.cache))?;
+                    .finalize(clock.now(), receipt, Some(&*self.cache))?;
                 // The index came from this loop's own dispatch phase, so a miss can
                 // only mean a corrupted in-flight set — skip, don't panic.
-                let Some(state) = self.jobs.get_mut(batch.job) else {
+                let Some(state) = self.jobs.get_mut(batch.slot) else {
                     continue;
                 };
                 state.in_flight = false;
@@ -1120,9 +1107,9 @@ impl JobScheduler {
                 };
                 state.reclaimed_minutes += clocked.reclaimed_minutes;
                 state.answers_cancelled += clocked.answers_cancelled;
-                if let Some(observer) = &self.observer {
+                if let Some(observer) = self.observer {
                     observer.on_commit(&BatchCommit {
-                        job: JobId(batch.job),
+                        job: batch.job,
                         seq: state.runs.len(),
                         hit,
                         range: batch.range.clone(),
@@ -1160,7 +1147,7 @@ impl JobScheduler {
             return Ok(None);
         };
         let needed = state.engine.decide_workers()?;
-        match self.ledger.try_lease(needed, &mut self.rng) {
+        match self.ledger.try_lease(needed, &mut *self.rng) {
             None => {
                 state.ticks_waited += 1;
                 Ok(None)
@@ -1178,12 +1165,12 @@ impl JobScheduler {
                     .publish_batch_to(platform, batch, lease.workers())?;
                 let record = DispatchRecord {
                     tick,
-                    job: JobId(idx),
+                    job: state.id,
                     hit: ticket.hit,
                     workers: lease.workers().to_vec(),
                     at,
                 };
-                if let Some(observer) = &self.observer {
+                if let Some(observer) = self.observer {
                     observer.on_dispatch(&record);
                 }
                 dispatches.push(record);
@@ -1192,117 +1179,6 @@ impl JobScheduler {
                 state.cursor = end;
                 Ok(Some((range, ticket, lease)))
             }
-        }
-    }
-
-    /// Up-front feasibility: a demand larger than `roster_len` would wait forever
-    /// (`roster_len` is the whole ledger for sequential runs, one shard's partition for
-    /// parallel ones).
-    fn check_feasibility(&self, roster_len: usize) -> Result<()> {
-        for state in &self.jobs {
-            let needed = state.engine.decide_workers()?;
-            if needed > roster_len {
-                return Err(CdasError::PoolExhausted {
-                    needed,
-                    available: roster_len,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The facts a run loop knows about one shard; [`JobScheduler::report`] fills in the
-    /// scored totals ([`ShardReport::questions`], cost, reclaimed minutes) from the
-    /// per-job reports it builds anyway, so nothing is scored twice.
-    fn seed_shard(&self, ticks: usize, makespan: f64, wall_seconds: f64) -> ShardSeed {
-        ShardSeed {
-            shard: 0,
-            jobs: (0..self.jobs.len()).map(JobId).collect(),
-            ticks,
-            makespan,
-            wall_seconds,
-        }
-    }
-
-    /// Assemble the fleet report from completed job states.
-    fn report(
-        &self,
-        ticks: usize,
-        dispatches: Vec<DispatchRecord>,
-        makespan: f64,
-        shards: Vec<ShardSeed>,
-    ) -> FleetReport {
-        let jobs: Vec<JobReport> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(idx, state)| JobReport {
-                job: JobId(idx),
-                name: state.spec.job.name.clone(),
-                kind: state.spec.job.kind,
-                priority: state.spec.priority,
-                report: score_hits(
-                    state
-                        .runs
-                        .iter()
-                        .map(|(r, o)| (state.spec.questions.get(r.clone()).unwrap_or(&[]), o)),
-                ),
-                hits: state.runs.len(),
-                ticks_waited: state.ticks_waited,
-                distinct_workers: state.workers_seen.len(),
-                time_to_first_verdict: state.first_verdict_at,
-                completed_at: state.completed_at,
-                reclaimed_minutes: state.reclaimed_minutes,
-                answers_cancelled: state.answers_cancelled,
-            })
-            .collect();
-        let fleet = score_hits(self.jobs.iter().flat_map(|s| {
-            s.runs
-                .iter()
-                .map(|(r, o)| (s.spec.questions.get(r.clone()).unwrap_or(&[]), o))
-        }));
-        let shards = shards
-            .into_iter()
-            .map(|seed| {
-                let mut questions = 0usize;
-                let mut cost = 0.0f64;
-                let mut reclaimed_minutes = 0.0f64;
-                let mut answers_cancelled = 0usize;
-                for id in &seed.jobs {
-                    // Shard seeds only carry ids of jobs in this scheduler.
-                    let Some(job) = jobs.get(id.0) else {
-                        continue;
-                    };
-                    questions += job.report.questions;
-                    cost += job.report.cost;
-                    reclaimed_minutes += job.reclaimed_minutes;
-                    answers_cancelled += job.answers_cancelled;
-                }
-                ShardReport {
-                    shard: seed.shard,
-                    jobs: seed.jobs,
-                    ticks: seed.ticks,
-                    makespan: seed.makespan,
-                    questions,
-                    cost,
-                    reclaimed_minutes,
-                    answers_cancelled,
-                    wall_seconds: seed.wall_seconds,
-                }
-            })
-            .collect();
-        FleetReport {
-            jobs,
-            fleet,
-            shards,
-            ticks,
-            makespan,
-            reclaimed_minutes: self.jobs.iter().map(|s| s.reclaimed_minutes).sum(),
-            answers_cancelled: self.jobs.iter().map(|s| s.answers_cancelled).sum(),
-            dispatches,
-            registry_size: self.cache.shared().len(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
         }
     }
 }
@@ -1559,6 +1435,37 @@ mod tests {
             }
             other => panic!("expected PoolExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn zero_batch_size_is_refused_before_anything_dispatches() {
+        // `batch_size` is a public field, so a hand-wired job can carry 0. Both entry
+        // points refuse it up front, before the healthy job ahead of it publishes.
+        let (mut platform, ledger) = setup(16, 8);
+        let pool = WorkerPool::generate(&PoolConfig::clean(16, 0.8, 8));
+        let mut sharded =
+            cdas_crowd::sharded::ShardedPlatform::split(&pool, CostModel::default(), 8, 2);
+        let mut clocked = JobScheduler::new(SchedulerConfig::default(), ledger.clone());
+        let mut parallel = JobScheduler::new(SchedulerConfig::default(), ledger);
+        for scheduler in [&mut clocked, &mut parallel] {
+            for batch_size in [5, 0] {
+                let mut job =
+                    ScheduledJob::named(JobKind::SentimentAnalytics, "j", demo_questions(4, 1))
+                        .with_engine(fixed_engine(5));
+                job.batch_size = batch_size;
+                scheduler.submit(job);
+            }
+        }
+        for result in [
+            clocked.run_clocked(&mut platform),
+            parallel.run_parallel(&mut sharded),
+        ] {
+            assert!(
+                matches!(result, Err(CdasError::NonPositive { what: "batch size" })),
+                "{result:?}"
+            );
+        }
+        assert_eq!(platform.total_cost() + sharded.total_cost(), 0.0);
     }
 
     #[test]

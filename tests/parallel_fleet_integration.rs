@@ -5,8 +5,9 @@
 //!    `run_clocked` (the acceptance regression of the parallel refactor), and
 //! 2. **interleaving independence**: an N-shard parallel run must produce the same
 //!    accuracy estimates and per-job metrics as running the same N shard schedules one
-//!    after another on a single thread — the lock-striped registry makes cross-thread
-//!    sharing commutative, so thread timing cannot change what the fleet learned.
+//!    after another on a single thread — each shard runs over a private copy of the
+//!    registry, merged back in shard order after the join, so thread timing cannot
+//!    change what the fleet learned.
 
 use cdas::core::economics::CostModel;
 use cdas::core::online::TerminationStrategy;
@@ -310,7 +311,11 @@ fn panicking_shard_resurfaces_after_every_other_shard_completed() {
             healthy_roster.clone(),
         ),
     ]);
-    let ledger = PoolLedger::new(crashing_roster.into_iter().chain(healthy_roster));
+    let ledger = PoolLedger::new(
+        crashing_roster
+            .into_iter()
+            .chain(healthy_roster.iter().copied()),
+    );
     let observer = ledger.clone();
     let mut scheduler = JobScheduler::new(SchedulerConfig::default(), ledger);
     for name in ["doomed", "fine"] {
@@ -341,8 +346,53 @@ fn panicking_shard_resurfaces_after_every_other_shard_completed() {
         "the healthy job's outcomes survived the panic"
     );
     assert!(scheduler.outcomes(JobId(0)).is_empty());
+    // Every shard's estimates were merged into the fleet registry before the panic
+    // resurfaced: the healthy shard's gold scores are there, and the crashed shard, which
+    // died on its first poll, contributed none.
+    let registry = scheduler.shared_registry().snapshot();
+    assert!(
+        !registry.is_empty(),
+        "the healthy shard's estimates were merged"
+    );
+    for (worker, _) in registry.iter() {
+        assert!(
+            healthy_roster.contains(worker),
+            "{worker:?} is not a healthy-shard worker"
+        );
+        assert!(
+            !(100..108).contains(&worker.0),
+            "the crashed shard learned {worker:?}"
+        );
+    }
     // The parent ledger never participated (shards lease from their own tables) and is
     // fully available for a retry.
     assert_eq!(observer.leased(), 0);
     assert_eq!(observer.available(), 16);
+}
+
+#[test]
+fn maximal_seeds_wrap_per_shard_instead_of_overflowing() {
+    // Shard `s` seeds its platform and its dispatch RNG with `seed + s`, wrapping. At
+    // `u64::MAX` both additions overflow on shard 1, which must neither panic (debug
+    // builds check overflow) nor lose work.
+    let crowd = CrowdSpec::clean(16, 0.85)
+        .seed(u64::MAX)
+        .latency(LatencyModel::Exponential { mean: 5.0 });
+    let mut fleet = Fleet::builder()
+        .crowd(crowd)
+        .scheduler_seed(u64::MAX)
+        .build()
+        .unwrap();
+    for i in 0..4 {
+        fleet
+            .submit(
+                JobSpec::sentiment(format!("job-{i}"), demo_questions(6, 2))
+                    .workers(5)
+                    .domain_size(3),
+            )
+            .unwrap();
+    }
+    let run = fleet.run(ExecutionMode::Parallel { shards: 2 }).unwrap();
+    assert_eq!(run.report().shards.len(), 2);
+    assert_eq!(run.report().fleet.questions, 24);
 }
